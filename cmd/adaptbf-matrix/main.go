@@ -138,7 +138,6 @@ import (
 	"time"
 
 	"adaptbf/internal/admission"
-	"adaptbf/internal/config"
 	"adaptbf/internal/experiments"
 	"adaptbf/internal/harness"
 	"adaptbf/internal/metrics"
@@ -404,7 +403,7 @@ func main() {
 	}
 	var pols []sim.Policy
 	for _, p := range splitList(*policies) {
-		pol, err := config.ParsePolicy(p)
+		pol, err := sim.ParsePolicy(p)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -19,9 +19,10 @@
 //
 //	STATS {"role":"oss","served_rpcs":1234,...}
 //
-// The STATS line exists because device counters are only readable from a
-// closed OSS: the spawner (harness.RemoteBackend) collects them from
-// stdout at teardown, the one moment they exist.
+// The STATS line is the cluster.NodeStats that Node.Close returns,
+// because device counters and GIFT agent accounting are only readable
+// from a stopped node: the spawner (harness.RemoteBackend) collects them
+// from stdout at teardown, the one moment they exist.
 //
 // Typical OSS under the AdapTBF policy:
 //
@@ -102,6 +103,13 @@ func main() {
 		dev.ConcurrencyPenalty = *devPenalty
 	}
 
+	var coordLink transport.Caller
+	if *coord != "" {
+		// A Redialer, not a single client: the coordinator process may
+		// restart (or simply start second), and the agent's idempotent
+		// walks tolerate the replays reconnection implies.
+		coordLink = &transport.Redialer{Network: "tcp", Addr: *coord}
+	}
 	n, err := cluster.StartNode(cluster.NodeConfig{
 		Role:   *role,
 		Listen: *listen,
@@ -115,7 +123,7 @@ func main() {
 		Period:       *period,
 		SFQDepth:     *sfqDepth,
 		Nodes:        nodeMap,
-		CoordAddr:    *coord,
+		Coord:        coordLink,
 		Admission:    admCfg,
 		Fault:        fault,
 		FaultSeed:    *seed,

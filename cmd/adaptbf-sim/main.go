@@ -61,7 +61,7 @@ func main() {
 		scenario = config.Demo(adaptbf.PolicyAdapTBF)
 	}
 	if *policyFlag != "" {
-		pol, err := config.ParsePolicy(*policyFlag)
+		pol, err := sim.ParsePolicy(*policyFlag)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -107,17 +107,30 @@
 // default SimBackend runs the deterministic simulator: the merged report
 // and Fingerprint are identical whatever the worker count. Passing
 // WithMatrixBackend(&ClusterBackend{...}) instead runs every cell as a
-// live wall-clock deployment — real in-process storage servers
-// (cluster.OSS goroutines) and job runners issuing RPCs over the gob
-// transport — with each cell's CellResult.Backend (and the JSON
-// document's per-cell backend field) set to "live". Live cells honor
-// the matrix Duration as an OSS-time cap and report OSS-time metrics
-// (wall-clock × ClusterBackend.Speedup); being measured rather than
-// simulated, they are excluded from all determinism and fingerprint
-// claims.
+// live wall-clock deployment — real storage servers (cluster.Node, each
+// wrapping a cluster.OSS and its policy machinery) and job runners
+// issuing RPCs over the gob transport — with each cell's
+// CellResult.Backend (and the JSON document's per-cell backend field)
+// set to "live". Live cells honor the matrix Duration as an OSS-time cap
+// and report OSS-time metrics (wall-clock × ClusterBackend.Speedup);
+// being measured rather than simulated, they are excluded from all
+// determinism and fingerprint claims.
 //
-// The FULL six-policy axis runs live, each mechanism deployed the way
-// its paper describes it:
+// Both wall-clock backends run every cell through one code path with
+// two launchers. That path turns the cell into one cluster.NodeConfig
+// per OSS (plus a coordinator config for GIFT), drives the jobs, closes
+// the job connections, drains every node's spans and metrics over the obs
+// opcode, stops the nodes, and folds the cluster.NodeStats each returns
+// (device busy time, GIFT walk times, rule ops and control messages,
+// bank state) into the result. The in-process launcher
+// (ClusterBackend) starts the nodes with cluster.NewNode and reaches
+// them through faulted in-process pipes (Node.Pipe); the subprocess
+// launcher (RemoteBackend, below) starts the same configs as
+// adaptbf-node processes over TCP and alone realizes crash/restart.
+// Live/remote parity therefore holds by construction.
+//
+// The FULL six-policy axis runs live, each mechanism wired in
+// cluster.NewNode the way its paper deploys it:
 //
 //   - NoBW: no rules; FCFS from the TBF fallback queue.
 //   - StaticBW: fixed priority-proportional rules (workload.StaticRules
@@ -128,7 +141,7 @@
 //     server has no rule engine (ErrNoRuleEngine) and no controller.
 //   - AdapTBF: one independent controller per OSS (OSS.NewController) —
 //     the paper's decentralization property, live.
-//   - GIFT: one central coupon-bank coordinator per cell
+//   - GIFT: one central coupon-bank coordinator node per cell
 //     (cluster.GIFTCoordinator) that every OSS's agent
 //     (OSS.NewGIFTAgent) consults over the transport each epoch. The
 //     coordinator serializes walks behind its bank mutex — GIFT's
@@ -159,11 +172,11 @@
 // To add a live policy: give cluster.OSS whatever per-server gate or
 // rule machinery the mechanism needs (SFQ shows the gate seam,
 // requestGate; GIFT shows the coordinator-service pattern over
-// transport.Request.Payload), wire a policy arm into
-// harness.ClusterBackend.RunCell that stands the machinery up and folds
-// its accounting into sim.Result, and extend the six-policy live smoke
-// in CI. Anything deterministic belongs in the simulator; anything
-// wall-clock belongs here.
+// transport.Request.Payload), give the policy a name in sim.Policy.Flag,
+// wire its arm into cluster.NewNode, report its accounting in
+// cluster.NodeStats, and extend the six-policy live and remote smokes in
+// CI. Both live backends pick it up at once. Anything deterministic
+// belongs in the simulator; anything wall-clock belongs here.
 //
 // How far apart the two substrates are is itself measured:
 // RunCalibrationStudy (CLI: -study calibration) executes the same grid
@@ -197,8 +210,9 @@
 // node prints a machine-parseable ADDR line at startup, answers a
 // health opcode, and on SIGTERM drains gracefully — stops accepting,
 // bounds open connections, stops its policy machinery — then emits a
-// final STATS JSON line from which the backend folds device-busy
-// counters and GIFT bank state into the cell result. Job runners drive
+// final STATS JSON line — the same cluster.NodeStats an in-process
+// node's Close returns — from which the backend folds device-busy
+// counters and GIFT accounting into the cell result. Job runners drive
 // the workload from the harness process through reconnecting clients
 // (transport.Redialer) with per-RPC deadlines and a bounded retry
 // budget, so no transport failure can hang a cell.

@@ -35,13 +35,15 @@ const (
 	OpNodeStats uint8 = 0xF9
 )
 
-// A NodeConfig describes one adaptbf-node process: a storage server (or
-// GIFT coordinator) plus its policy machinery, served over TCP with
-// optional fault injection on every accepted connection.
+// A NodeConfig describes one storage server (or GIFT coordinator) plus
+// its policy machinery — the one place live policies are wired. The
+// same config runs in-process (NewNode, reached through Node.Pipe) and
+// as an adaptbf-node process (StartNode, served over TCP), with
+// optional fault injection on every connection either way.
 type NodeConfig struct {
 	// Role is "oss" (default) or "coord" (a GIFT coordinator only).
 	Role string
-	// Listen is the TCP listen address. Default "127.0.0.1:0".
+	// Listen is StartNode's TCP listen address. Default "127.0.0.1:0".
 	Listen string
 
 	// OSS configures the storage server ("oss" role). For the "sfq"
@@ -63,8 +65,11 @@ type NodeConfig struct {
 	// rules, the AdapTBF node mapper, and SFQ weights are derived from.
 	// Jobs not listed count as 1 node.
 	Nodes map[string]int
-	// CoordAddr is the GIFT coordinator's address (gift policy).
-	CoordAddr string
+	// Coord is the GIFT agent's link to its coordinator (gift policy):
+	// a Redialer to the coordinator process, or a Pipe to an in-process
+	// coordinator Node. The node owns it and closes it on Close (or when
+	// NewNode fails).
+	Coord transport.Caller
 
 	// Admission selects the OSS's overload-protection policy (zero =
 	// always-admit). Convenience: it is copied into OSS.Admission, so a
@@ -72,8 +77,8 @@ type NodeConfig struct {
 	// the nested OSSConfig.
 	Admission admission.Config
 
-	// Fault, when nonzero, wraps every accepted connection so each
-	// message this node sends pays the profile's delays, seeded by
+	// Fault, when nonzero, wraps every accepted or piped connection so
+	// each message this node sends pays the profile's delays, seeded by
 	// FaultSeed plus a per-connection offset.
 	Fault     transport.Fault
 	FaultSeed uint64
@@ -115,8 +120,9 @@ type ObsDrain struct {
 }
 
 // NodeStats is a node's observable state: served live via OpNodeStats
-// (device fields zero — they require a closed OSS) and printed as the
-// final drain snapshot by cmd/adaptbf-node.
+// (device fields zero — they require a closed OSS), returned by Close as
+// the final snapshot, and printed as the STATS drain line by
+// cmd/adaptbf-node.
 type NodeStats struct {
 	Role   string `json:"role"`
 	Policy string `json:"policy"`
@@ -127,9 +133,15 @@ type NodeStats struct {
 	ServedRPCs  uint64  `json:"served_rpcs,omitempty"`
 	BusySeconds float64 `json:"busy_seconds,omitempty"`
 
+	// Coordinator role: central walks served and the bank's state.
 	Walks              int64   `json:"walks,omitempty"`
 	BankEntries        int     `json:"bank_entries,omitempty"`
 	CouponsOutstanding float64 `json:"coupons_outstanding,omitempty"`
+
+	// GIFT agent (oss role, final snapshot only): see GIFTAgentStats.
+	WalkTimes []time.Duration `json:"walk_times_ns,omitempty"`
+	RuleOps   int             `json:"rule_ops,omitempty"`
+	CtrlMsgs  int64           `json:"ctrl_msgs,omitempty"`
 
 	// Admission counters (zero under always-admit; see OSS.AdmissionStats).
 	RejectedRPCs uint64 `json:"rejected_rpcs,omitempty"`
@@ -150,16 +162,17 @@ func ParseNodeStats(line []byte) (NodeStats, error) {
 	return s, err
 }
 
-// A Node is one adaptbf-node process's core: a listener, the served OSS
-// or GIFT coordinator, and the policy machinery running beside it. Start
-// with StartNode; stop with Close (graceful drain).
+// A Node is one storage server's core: the served OSS or GIFT
+// coordinator, the policy machinery running beside it, and — when
+// started with StartNode — a TCP listener. Stop with Close (graceful
+// drain).
 type Node struct {
 	cfg    NodeConfig
-	ln     net.Listener
+	ln     net.Listener // nil for a NewNode reached only through Pipe
 	oss    *OSS
 	coord  *GIFTCoordinator
 	agent  *GIFTAgent
-	acoord *transport.Redialer
+	acoord transport.Caller
 	obs    *obs.CellObs
 	start  time.Time
 
@@ -180,9 +193,34 @@ type Node struct {
 	final     NodeStats
 }
 
-// StartNode validates the config, binds the listener, stands up the role
-// and policy machinery, and starts accepting connections.
+// StartNode is NewNode plus a TCP listener on cfg.Listen accepting
+// connections — one adaptbf-node process's server.
 func StartNode(cfg NodeConfig) (*Node, error) {
+	n, err := NewNode(cfg)
+	if err != nil {
+		return nil, err
+	}
+	ln, err := net.Listen("tcp", n.cfg.Listen)
+	if err != nil {
+		n.Close()
+		return nil, err
+	}
+	n.ln = ln
+	n.acceptWG.Add(1)
+	go n.acceptLoop()
+	return n, nil
+}
+
+// NewNode validates the config and stands up the role and policy
+// machinery, without a listener: clients reach it through Pipe.
+func NewNode(cfg NodeConfig) (n *Node, err error) {
+	if cfg.Coord != nil {
+		defer func() {
+			if err != nil {
+				cfg.Coord.Close()
+			}
+		}()
+	}
 	if cfg.Role == "" {
 		cfg.Role = "oss"
 	}
@@ -204,7 +242,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		return nil, fmt.Errorf("cluster: unknown node role %q (want oss or coord)", cfg.Role)
 	}
 
-	n := &Node{cfg: cfg, conns: make(map[net.Conn]struct{}), start: time.Now()}
+	n = &Node{cfg: cfg, acoord: cfg.Coord, conns: make(map[net.Conn]struct{}), start: time.Now()}
 	if cfg.Obs {
 		// The tracer's fallback clock is wall time since node start; the
 		// OSS stamps its own spans with OSS time, which shares the epoch.
@@ -228,6 +266,10 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		if err := cfg.Admission.Validate(); err != nil {
 			stopCtls()
 			return nil, err
+		}
+		if cfg.Policy == "gift" && cfg.Coord == nil {
+			stopCtls()
+			return nil, fmt.Errorf("cluster: gift policy needs a coordinator link")
 		}
 		if !cfg.Admission.IsAlways() {
 			ocfg.Admission = cfg.Admission
@@ -269,16 +311,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 			return nil, err
 		}
 	}
-
-	ln, err := net.Listen("tcp", cfg.Listen)
-	if err != nil {
-		n.teardownRole()
-		stopCtls()
-		return nil, err
-	}
-	n.ln = ln
-	n.acceptWG.Add(1)
-	go n.acceptLoop()
 	return n, nil
 }
 
@@ -315,13 +347,6 @@ func (n *Node) startOSSPolicy(ctlCtx context.Context) error {
 			ctl.Run(ctlCtx)
 		}()
 	case "gift":
-		if cfg.CoordAddr == "" {
-			return fmt.Errorf("cluster: gift policy needs a coordinator address")
-		}
-		// A Redialer, not a single client: the coordinator process may
-		// restart (or simply start second), and the agent's idempotent
-		// walks tolerate the replays reconnection implies.
-		n.acoord = &transport.Redialer{Network: "tcp", Addr: cfg.CoordAddr}
 		n.agent = n.oss.NewGIFTAgent(n.acoord, cfg.MaxRate, cfg.Period)
 		n.ctlWG.Add(1)
 		go func() {
@@ -334,8 +359,29 @@ func (n *Node) startOSSPolicy(ctlCtx context.Context) error {
 	return nil
 }
 
-// Addr reports the bound listen address.
-func (n *Node) Addr() string { return n.ln.Addr().String() }
+// Addr reports the bound listen address ("" without a listener).
+func (n *Node) Addr() string {
+	if n.ln == nil {
+		return ""
+	}
+	return n.ln.Addr().String()
+}
+
+// connSeed is the fault seed of the node's next connection; callers
+// hold mu.
+func (n *Node) connSeed() uint64 {
+	n.connSeq++
+	return n.cfg.FaultSeed + n.connSeq*0x9e3779b97f4a7c15
+}
+
+// Pipe connects an in-process client to the node, faulted exactly like
+// an accepted TCP connection. The caller closes it before Close.
+func (n *Node) Pipe() *transport.Client {
+	n.mu.Lock()
+	seed := n.connSeed()
+	n.mu.Unlock()
+	return transport.PipeFault(n, n.cfg.Fault, seed)
+}
 
 func (n *Node) acceptLoop() {
 	defer n.acceptWG.Done()
@@ -350,8 +396,7 @@ func (n *Node) acceptLoop() {
 			conn.Close()
 			continue
 		}
-		n.connSeq++
-		fc := transport.FaultedConn(conn, n.cfg.Fault, n.cfg.FaultSeed+n.connSeq*0x9e3779b97f4a7c15)
+		fc := transport.FaultedConn(conn, n.cfg.Fault, n.connSeed())
 		n.conns[fc] = struct{}{}
 		n.mu.Unlock()
 		n.connWG.Add(1)
@@ -444,10 +489,11 @@ func (n *Node) Obs() *obs.CellObs { return n.obs }
 // into the metrics registry, adding only what accumulated since the
 // previous sync so repeated drains and scrapes never double-count.
 func (n *Node) syncObsTransport() {
-	if n.obs == nil || n.obs.Metrics == nil || n.acoord == nil {
+	rd, ok := n.acoord.(*transport.Redialer)
+	if n.obs == nil || n.obs.Metrics == nil || !ok {
 		return
 	}
-	st := n.acoord.Stats()
+	st := rd.Stats()
 	n.mu.Lock()
 	dDials, dRetries := st.Dials-n.obsDials, st.Retries-n.obsRetries
 	n.obsDials, n.obsRetries = st.Dials, st.Retries
@@ -463,9 +509,10 @@ func (n *Node) syncObsTransport() {
 // teardownRole stops the served OSS (reading its final device counters
 // into the drain snapshot) or coordinator.
 func (n *Node) teardownRole() {
-	n.final = NodeStats{Role: n.cfg.Role, Policy: n.cfg.Policy}
-	if n.ln != nil {
-		n.final.Addr = n.ln.Addr().String()
+	n.final = NodeStats{Role: n.cfg.Role, Policy: n.cfg.Policy, Addr: n.Addr()}
+	if n.agent != nil {
+		st := n.agent.Stats()
+		n.final.WalkTimes, n.final.RuleOps, n.final.CtrlMsgs = st.WalkTimes, st.RuleOps, st.CtrlMsgs
 	}
 	if n.oss != nil {
 		n.oss.Close()
@@ -484,16 +531,19 @@ func (n *Node) teardownRole() {
 	}
 }
 
-// Close gracefully drains the node: stop accepting, give open
+// Close gracefully drains the node: stop accepting, give open TCP
 // connections DrainTimeout to finish (then force-close them), stop the
 // policy machinery, close the OSS, and return the final stats snapshot —
-// including the device counters only a closed OSS can report.
+// including the device counters and GIFT agent accounting only a
+// stopped node can report.
 func (n *Node) Close() NodeStats {
 	n.closeOnce.Do(func() {
 		n.mu.Lock()
 		n.closing = true
 		n.mu.Unlock()
-		n.ln.Close()
+		if n.ln != nil {
+			n.ln.Close()
+		}
 		n.acceptWG.Wait()
 
 		drained := make(chan struct{})

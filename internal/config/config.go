@@ -43,27 +43,6 @@ type Scenario struct {
 	Jobs         []JobSpec `json:"jobs"`
 }
 
-// ParsePolicy maps a policy name to a simulator policy. The empty string
-// means AdapTBF.
-func ParsePolicy(s string) (sim.Policy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "adaptbf":
-		return sim.AdapTBF, nil
-	case "nobw", "none", "fcfs":
-		return sim.NoBW, nil
-	case "static":
-		return sim.StaticBW, nil
-	case "sfq", "sfqd", "sfq(d)":
-		return sim.SFQ, nil
-	case "gift":
-		return sim.GIFT, nil
-	case "edt":
-		return sim.EDT, nil
-	default:
-		return 0, fmt.Errorf("config: unknown policy %q (want nobw, static, adaptbf, sfq, edt, or gift)", s)
-	}
-}
-
 // Parse decodes a JSON scenario into a simulator configuration. Unknown
 // fields are rejected so typos in knob names fail loudly.
 func Parse(data []byte) (sim.Config, error) {
@@ -79,7 +58,7 @@ func Parse(data []byte) (sim.Config, error) {
 // Config converts the scenario to a simulator configuration.
 func (s *Scenario) Config() (sim.Config, error) {
 	var out sim.Config
-	pol, err := ParsePolicy(s.Policy)
+	pol, err := sim.ParsePolicy(s.Policy)
 	if err != nil {
 		return out, err
 	}

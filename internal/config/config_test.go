@@ -60,30 +60,6 @@ func TestParseFullScenario(t *testing.T) {
 	}
 }
 
-func TestParsePolicies(t *testing.T) {
-	cases := map[string]sim.Policy{
-		"":        sim.AdapTBF,
-		"adaptbf": sim.AdapTBF,
-		"AdapTBF": sim.AdapTBF,
-		"nobw":    sim.NoBW,
-		"none":    sim.NoBW,
-		"fcfs":    sim.NoBW,
-		"static":  sim.StaticBW,
-		"sfq":     sim.SFQ,
-		"SFQ(D)":  sim.SFQ,
-		"gift":    sim.GIFT,
-	}
-	for in, want := range cases {
-		got, err := ParsePolicy(in)
-		if err != nil || got != want {
-			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Error("bogus policy accepted")
-	}
-}
-
 func TestParseRejectsUnknownFields(t *testing.T) {
 	_, err := Parse([]byte(`{"policy": "nobw", "typoKnob": 1, "jobs": [{"id":"a.b","nodes":1,"procs":[{"fileMiB":1}]}]}`))
 	if err == nil || !strings.Contains(err.Error(), "typoKnob") {

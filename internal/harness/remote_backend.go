@@ -4,11 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,9 +16,7 @@ import (
 
 	"adaptbf/internal/cluster"
 	"adaptbf/internal/device"
-	"adaptbf/internal/metrics"
 	"adaptbf/internal/obs"
-	"adaptbf/internal/sim"
 	"adaptbf/internal/transport"
 )
 
@@ -31,21 +29,23 @@ import (
 // paper's deployment claim made literal: the decentralization property
 // crosses a real process boundary and a real (if loopback) network.
 //
-// The node binary is built once per backend (go build adaptbf/cmd/
-// adaptbf-node, resolved via the module root) unless NodeBin points at a
-// prebuilt one. Faults apply on the node side of every connection
-// (CellSpec.Faults.Net), and the crash/restart and straggler modes are
-// realized here — a SIGKILLed node process and a respawn on the same
-// address, a k×-slowed device on the first OSS.
+// It is the subprocess launcher of the one live cell path that
+// ClusterBackend also runs: each process is the cluster.Node an
+// in-process cell starts, configured by the same cluster.NodeConfig
+// rendered as flags, and its final cluster.NodeStats (device busy time,
+// GIFT walk accounting) arrive on its STATS drain line — so a
+// crashed-and-not-restarted node contributes zeros. Only this launcher
+// realizes the crash/restart fault: a SIGKILLed node process and a
+// respawn on the same address.
 //
-// Like ClusterBackend, results are OSS time (wall-clock × Speedup),
-// inherently nondeterministic, and never fingerprinted. Device counters
-// come from each node's STATS drain line — the only moment a node can
-// report them — so a crashed-and-not-restarted node contributes zero
-// device busy time.
+// The node binary is built at most once per process (go build
+// adaptbf/cmd/adaptbf-node, resolved via the module root) unless
+// NodeBin points at a prebuilt one. Like ClusterBackend, results are OSS
+// time (wall-clock × Speedup), inherently nondeterministic, and never
+// fingerprinted.
 type RemoteBackend struct {
 	// NodeBin is a prebuilt adaptbf-node binary. Empty means build one
-	// (cached per backend) from the enclosing module.
+	// (cached per process) from the enclosing module.
 	NodeBin string
 	// Device parameterizes each node's backing store. Zero means
 	// device.Default().
@@ -64,10 +64,6 @@ type RemoteBackend struct {
 	// spawner's view of what it actually addressed. Calls may come from
 	// concurrent cells; plain log.Printf / testing.T.Logf are fine.
 	Logf func(format string, args ...any)
-
-	buildOnce sync.Once
-	builtBin  string
-	buildErr  error
 }
 
 // Name reports "remote".
@@ -77,54 +73,98 @@ func (b *RemoteBackend) Name() string { return "remote" }
 // ADDR line and answer its first health probe.
 const remoteReadyTimeout = 15 * time.Second
 
-// nodePolicyFlag maps a matrix policy to the daemon's -policy value.
-func nodePolicyFlag(p sim.Policy) (string, error) {
-	switch p {
-	case sim.NoBW:
-		return "nobw", nil
-	case sim.StaticBW:
-		return "static", nil
-	case sim.AdapTBF:
-		return "adaptbf", nil
-	case sim.SFQ:
-		return "sfq", nil
-	case sim.GIFT:
-		return "gift", nil
-	case sim.EDT:
-		return "edt", nil
-	}
-	return "", fmt.Errorf("harness: policy %v has no remote implementation", p)
+// nodeBuild caches the adaptbf-node binary built for RemoteBackends
+// without a NodeBin: one build per process, removed by
+// removeNodeBuild.
+var nodeBuild struct {
+	once sync.Once
+	dir  string
+	bin  string
+	err  error
 }
 
-// bin resolves the node binary, building it once if needed.
+// bin resolves the node binary, building it once per process if needed.
 func (b *RemoteBackend) bin() (string, error) {
 	if b.NodeBin != "" {
 		return b.NodeBin, nil
 	}
-	b.buildOnce.Do(func() {
-		root, err := moduleRoot()
-		if err != nil {
-			b.buildErr = err
-			return
-		}
-		dir, err := os.MkdirTemp("", "adaptbf-node-")
-		if err != nil {
-			b.buildErr = err
-			return
-		}
-		out := filepath.Join(dir, "adaptbf-node")
-		cmd := exec.Command("go", "build", "-o", out, "./cmd/adaptbf-node")
-		cmd.Dir = root
-		if msg, err := cmd.CombinedOutput(); err != nil {
-			b.buildErr = fmt.Errorf("harness: building adaptbf-node: %v\n%s", err, msg)
-			return
-		}
-		b.builtBin = out
+	nodeBuild.once.Do(func() {
+		nodeBuild.bin, nodeBuild.err = buildNode()
 	})
-	if b.buildErr != nil {
-		return "", b.buildErr
+	return nodeBuild.bin, nodeBuild.err
+}
+
+// buildNode builds adaptbf-node into a fresh temp dir, removing the dir
+// again if the build fails.
+func buildNode() (string, error) {
+	root, err := moduleRoot()
+	if err != nil {
+		return "", err
 	}
-	return b.builtBin, nil
+	dir, err := os.MkdirTemp("", "adaptbf-node-")
+	if err != nil {
+		return "", err
+	}
+	out := filepath.Join(dir, "adaptbf-node")
+	cmd := exec.Command("go", "build", "-o", out, "./cmd/adaptbf-node")
+	cmd.Dir = root
+	if msg, err := cmd.CombinedOutput(); err != nil {
+		os.RemoveAll(dir)
+		return "", fmt.Errorf("harness: building adaptbf-node: %v\n%s", err, msg)
+	}
+	nodeBuild.dir = dir
+	return out, nil
+}
+
+// removeNodeBuild deletes the cached node build, if any. Call it only
+// once no RemoteBackend will run again in this process.
+func removeNodeBuild() {
+	if nodeBuild.dir != "" {
+		os.RemoveAll(nodeBuild.dir)
+	}
+}
+
+// nodeArgs renders a node config as adaptbf-node flags — the subprocess
+// form of cluster.NewNode's input. coordAddr is the GIFT coordinator's
+// listen address ("" without one).
+func nodeArgs(cfg cluster.NodeConfig, coordAddr string) []string {
+	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	d := cfg.OSS.Device
+	args := []string{
+		"-role", cfg.Role,
+		"-listen", "127.0.0.1:0",
+		"-policy", cfg.Policy,
+		"-rate", f(cfg.MaxRate),
+		"-period", cfg.Period.String(),
+		"-drain", "5s",
+		"-depth", f(cfg.OSS.BucketDepth),
+		"-speedup", f(cfg.OSS.Speedup),
+		"-sfq-depth", strconv.Itoa(cfg.SFQDepth),
+		"-dev-bps", f(d.BytesPerSec),
+		"-dev-overhead", d.PerRPCOverhead.String(),
+		"-dev-penalty", d.ConcurrencyPenalty.String(),
+	}
+	if !cfg.Fault.IsZero() {
+		args = append(args, "-faults", cfg.Fault.String(), "-fault-seed", strconv.FormatUint(cfg.FaultSeed, 10))
+	}
+	if cfg.Obs {
+		args = append(args, "-obs")
+	}
+	if len(cfg.Nodes) > 0 {
+		counts := make([]string, 0, len(cfg.Nodes))
+		for id, k := range cfg.Nodes {
+			counts = append(counts, id+"="+strconv.Itoa(k))
+		}
+		sort.Strings(counts)
+		args = append(args, "-nodes", strings.Join(counts, ","))
+	}
+	if !cfg.Admission.IsAlways() {
+		args = append(args, "-admission", cfg.Admission.String())
+	}
+	if coordAddr != "" {
+		args = append(args, "-coord", coordAddr)
+	}
+	return args
 }
 
 // moduleRoot locates the enclosing Go module (where ./cmd/adaptbf-node
@@ -233,20 +273,17 @@ func waitHealthy(addr string) (cluster.NodeHealth, error) {
 
 // terminate SIGTERMs the node (triggering its graceful drain), waits for
 // its STATS snapshot, and reaps it — escalating to SIGKILL if the drain
-// exceeds its bound.
-func (p *nodeProc) terminate(drainBound time.Duration) (cluster.NodeStats, bool) {
+// exceeds its bound. A node that printed no snapshot yields zero stats.
+func (p *nodeProc) terminate(drainBound time.Duration) cluster.NodeStats {
 	p.cmd.Process.Signal(os.Interrupt)
 	var st cluster.NodeStats
-	got := false
 	select {
 	case st = <-p.stats:
-		got = true
 	case <-p.exited:
 		// Exited without draining (crashed, or killed earlier) — but a
 		// STATS line scanned just before EOF still counts.
 		select {
 		case st = <-p.stats:
-			got = true
 		default:
 		}
 	case <-time.After(drainBound):
@@ -256,7 +293,7 @@ func (p *nodeProc) terminate(drainBound time.Duration) (cluster.NodeStats, bool)
 	case <-time.After(2 * time.Second):
 		p.kill()
 	}
-	return st, got
+	return st
 }
 
 func (p *nodeProc) kill() {
@@ -266,386 +303,187 @@ func (p *nodeProc) kill() {
 
 // RunCell executes one cell as separate node processes over TCP.
 func (b *RemoteBackend) RunCell(ctx context.Context, spec CellSpec) (CellOutcome, error) {
-	if err := ctx.Err(); err != nil {
-		return CellOutcome{}, err
-	}
-	policy, err := nodePolicyFlag(spec.Cell.Policy)
-	if err != nil {
-		return CellOutcome{}, err
-	}
-	if spec.Scenario.Jobs == nil {
-		return CellOutcome{}, fmt.Errorf("harness: the remote backend cannot run streaming scenario %s; use -backend sim", spec.Cell.Scenario)
-	}
-	if spec.RecordDir != "" {
-		return CellOutcome{}, fmt.Errorf("harness: trace recording needs the deterministic sim backend")
-	}
-	jobs := spec.Scenario.Jobs(spec.Cell.Params())
-	if len(jobs) == 0 {
-		return CellOutcome{}, fmt.Errorf("harness: scenario %s produced no jobs", spec.Cell.Scenario)
-	}
-	for _, j := range jobs {
-		if err := j.Validate(); err != nil {
-			return CellOutcome{}, err
-		}
-	}
-	bin, err := b.bin()
-	if err != nil {
-		return CellOutcome{}, err
-	}
-	speedup := b.Speedup
-	if speedup <= 0 {
-		speedup = 1
-	}
-	depth := b.BucketDepth
-	if depth <= 0 {
-		depth = liveDefaultBucketDepth
-	}
-	rpcTimeout := b.RPCTimeout
-	if rpcTimeout <= 0 {
-		rpcTimeout = 15 * time.Second
-	}
-	scaleWorkloadTimes(jobs, speedup)
-
-	nodesFlag := make([]string, 0, len(jobs))
-	for _, j := range jobs {
-		nodesFlag = append(nodesFlag, j.ID+"="+strconv.Itoa(j.Nodes))
-	}
-	wallCap := time.Duration(float64(spec.Duration) / speedup)
-
-	// Spawn the cell's processes: the GIFT coordinator first (agents dial
-	// it at startup), then one OSS node per target.
-	commonArgs := func(role string, faultConn int) []string {
-		args := []string{
-			"-role", role,
-			"-listen", "127.0.0.1:0",
-			"-rate", strconv.FormatFloat(spec.MaxTokenRate, 'g', -1, 64),
-			"-period", spec.Period.String(),
-			"-drain", "5s",
-		}
-		if !spec.Faults.Net.IsZero() {
-			args = append(args,
-				"-faults", spec.Faults.Net.String(),
-				"-fault-seed", strconv.FormatUint(faultSeed(spec.Cell.Seed, faultConn), 10))
-		}
-		return args
-	}
-	deviceArgs := func(straggler bool) []string {
-		d := b.Device
-		if d == (device.Params{}) {
-			d = device.Default()
-		}
-		if straggler {
-			k := spec.Faults.StragglerFactor
-			d.BytesPerSec /= k
-			d.PerRPCOverhead = time.Duration(float64(d.PerRPCOverhead) * k)
-			d.ConcurrencyPenalty = time.Duration(float64(d.ConcurrencyPenalty) * k)
-		}
-		return []string{
-			"-dev-bps", strconv.FormatFloat(d.BytesPerSec, 'g', -1, 64),
-			"-dev-overhead", d.PerRPCOverhead.String(),
-			"-dev-penalty", d.ConcurrencyPenalty.String(),
-		}
-	}
-
-	var procs []*nodeProc // every process ever spawned, for teardown reaping
-	var coordProc *nodeProc
-	defer func() {
-		for _, p := range procs {
-			select {
-			case <-p.exited:
-			default:
-				p.kill()
-			}
-		}
-	}()
-
-	logReady := func(p *nodeProc) {
-		if b.Logf == nil {
-			return
-		}
-		h := p.health
-		b.Logf("harness: node %s ready: role=%s policy=%s go=%s obs=%v uptime=%.2fs",
-			p.addr, h.Role, h.Policy, h.GoVersion, h.Obs, h.UptimeS)
-	}
-	if spec.Cell.Policy == sim.GIFT {
-		coordProc, err = spawnNode(bin, commonArgs("coord", 0))
-		if err != nil {
-			return CellOutcome{}, err
-		}
-		procs = append(procs, coordProc)
-		logReady(coordProc)
-	}
-	ossArgs := func(i int) []string {
-		args := append(commonArgs("oss", 1+i),
-			"-policy", policy,
-			"-depth", strconv.FormatFloat(depth, 'g', -1, 64),
-			"-speedup", strconv.FormatFloat(speedup, 'g', -1, 64),
-			"-sfq-depth", strconv.Itoa(spec.SFQDepth),
-		)
-		if spec.Obs {
-			args = append(args, "-obs")
-		}
-		if len(nodesFlag) > 0 {
-			args = append(args, "-nodes", strings.Join(nodesFlag, ","))
-		}
-		if !spec.Admission.IsAlways() {
-			args = append(args, "-admission", spec.Admission.String())
-		}
-		if coordProc != nil {
-			args = append(args, "-coord", coordProc.addr)
-		}
-		args = append(args, deviceArgs(i == 0 && spec.Faults.StragglerFactor > 1)...)
-		return args
-	}
-	ossProcs := make([]*nodeProc, spec.Cell.OSSes)
-	for i := range ossProcs {
-		p, err := spawnNode(bin, ossArgs(i))
-		if err != nil {
-			return CellOutcome{}, err
-		}
-		ossProcs[i] = p
-		procs = append(procs, p)
-		logReady(p)
-	}
-
-	// The cell clock starts here: the recorder and any harness-side
-	// trace instants (crash, restart) share one epoch, so fault marks
-	// line up with the reported timelines. Node-side spans ride each
-	// node's own OSS clock and are folded in at teardown.
-	rec := &liveRecorder{
-		epoch:     time.Now(),
-		speedup:   speedup,
-		timeline:  metrics.NewTimeline(spec.Period),
-		latencies: &metrics.LatencyRecorder{},
-	}
-	var cellObs *obs.CellObs
-	if spec.Obs {
-		cellObs = &obs.CellObs{
-			Tracer:  obs.NewTracer(func() int64 { return int64(rec.now()) }),
-			Metrics: obs.NewRegistry(),
-		}
-	}
-
-	// The crash/restart fault: SIGKILL the first OSS node mid-run (no
-	// drain, no STATS — a crash), optionally respawning it on the same
-	// address so reconnecting clients recover.
-	crashCtx, stopCrash := context.WithCancel(context.Background())
-	var crashWG sync.WaitGroup
-	defer func() {
-		stopCrash()
-		crashWG.Wait()
-	}()
-	var restartMu sync.Mutex // guards ossProcs[0] and procs during the respawn
-	if spec.Faults.CrashOSS {
-		crashAfter := spec.Faults.CrashAfter
-		if crashAfter <= 0 {
-			crashAfter = wallCap / 4
-		}
-		crashWG.Add(1)
-		go func() {
-			defer crashWG.Done()
-			select {
-			case <-crashCtx.Done():
-				return
-			case <-time.After(crashAfter):
-			}
-			victim := ossProcs[0]
-			victim.kill()
-			if cellObs != nil {
-				cellObs.Tracer.Instant("oss.crash", "fault", 0, cellObs.Tracer.Now(),
-					map[string]any{"addr": victim.addr})
-			}
-			if spec.Faults.RestartAfter <= 0 {
-				return
-			}
-			select {
-			case <-crashCtx.Done():
-				return
-			case <-time.After(spec.Faults.RestartAfter):
-			}
-			args := ossArgs(0)
-			for i := range args { // pin the respawn to the crashed node's address
-				if args[i] == "-listen" {
-					args[i+1] = victim.addr
-				}
-			}
-			p, err := spawnNode(bin, args)
-			if err != nil {
-				return // clients keep failing against the dead addr; the cell reports it
-			}
-			restartMu.Lock()
-			ossProcs[0] = p
-			procs = append(procs, p)
-			restartMu.Unlock()
-			if cellObs != nil {
-				cellObs.Tracer.Instant("oss.restart", "fault", 0, cellObs.Tracer.Now(),
-					map[string]any{"addr": p.addr})
-			}
-		}()
-	}
-
 	// Per-RPC retry budget. A crash/restart cell needs the backoff window
 	// to span the dead gap, or every in-flight job fails before the
 	// respawn comes up.
-	retries := b.Retries
-	if retries <= 0 {
-		retries = 2
+	runner := cluster.JobRunner{
+		RPCTimeout:   b.RPCTimeout,
+		Retries:      b.Retries,
+		RetryBackoff: 25 * time.Millisecond,
 	}
-	retryBackoff := 25 * time.Millisecond
+	if runner.RPCTimeout <= 0 {
+		runner.RPCTimeout = 15 * time.Second
+	}
+	if runner.Retries <= 0 {
+		runner.Retries = 2
+	}
 	if spec.Faults.CrashOSS && spec.Faults.RestartAfter > 0 {
 		need := spec.Faults.RestartAfter + 2*time.Second
-		retryBackoff = 250 * time.Millisecond
-		for window := retryBackoff * ((1 << retries) - 1); window < need && retries < 10; retries++ {
-			window = retryBackoff * ((1 << (retries + 1)) - 1)
+		runner.RetryBackoff = 250 * time.Millisecond
+		for window := runner.RetryBackoff * ((1 << runner.Retries) - 1); window < need && runner.Retries < 10; runner.Retries++ {
+			window = runner.RetryBackoff * ((1 << (runner.Retries + 1)) - 1)
 		}
 	}
-
-	runCtx, cancelRun := context.WithTimeout(ctx, wallCap)
-	defer cancelRun()
-	observers := make([]func(bytes int64, latency time.Duration), len(jobs))
-	for ji, job := range jobs {
-		observers[ji] = rec.observer(job.ID)
-	}
-	outcomes := make([]liveJobOutcome, len(jobs))
-	var clients []transport.Caller
-	defer func() {
-		for _, c := range clients {
-			c.Close()
-		}
-	}()
-	var wg sync.WaitGroup
-	for ji, job := range jobs {
-		targets := make([]transport.Caller, len(ossProcs))
-		for i, p := range ossProcs {
-			// Redialers reconnect across node restarts; the per-call retry
-			// budget lives in the runner, so internal attempts stay at 1.
-			targets[i] = &transport.Redialer{Network: "tcp", Addr: p.addr, Attempts: 1}
-		}
-		clients = append(clients, targets...)
-		runner := &cluster.JobRunner{
-			Job:          job,
-			Targets:      targets,
-			RPCTimeout:   rpcTimeout,
-			Retries:      retries,
-			RetryBackoff: retryBackoff,
-			Observe:      observers[ji],
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			stats, err := runner.Run(runCtx)
-			outcomes[ji] = liveJobOutcome{stats: stats, err: err, finishedAt: rec.now()}
-		}()
-	}
-	wg.Wait()
-	elapsed := rec.now()
-	cancelRun()
-	stopCrash()
-	crashWG.Wait()
-
-	if err := ctx.Err(); err != nil {
-		return CellOutcome{}, err
-	}
-	res, err := foldLiveResult(spec, jobs, outcomes, rec, elapsed)
-	if err != nil {
-		return CellOutcome{}, err
-	}
-
-	// Harness-side transport resilience: the runners' redialers and
-	// retry loops live on this side of the wire, so their counters fold
-	// here. Node-side counters (a GIFT agent's coordinator client)
-	// arrive in the obs drain below.
-	if cellObs != nil {
-		var redials, retried int64
-		for _, c := range clients {
-			if rd, ok := c.(*transport.Redialer); ok {
-				st := rd.Stats()
-				if st.Dials > 1 {
-					redials += st.Dials - 1
-				}
-				retried += st.Retries
-			}
-		}
-		for _, jo := range outcomes {
-			retried += jo.stats.Retries
-		}
-		cellObs.Metrics.Counter(obs.MetricRedials).Add(redials)
-		cellObs.Metrics.Counter(obs.MetricRetries).Add(retried)
-	}
-
-	// Teardown: drain every node and fold its final snapshot. Device
-	// counters exist only in these STATS lines; a crashed node never
-	// prints one and contributes zeros. The obs drain must come first —
-	// spans and metrics live in the node process, and terminate ends it.
-	restartMu.Lock()
-	finalOSS := append([]*nodeProc(nil), ossProcs...)
-	restartMu.Unlock()
-	var nodeSnap obs.Snapshot
-	if cellObs != nil {
-		for i, p := range finalOSS {
-			if d, ok := drainNodeObs(p.addr, i); ok {
-				cellObs.Tracer.Append(d.Events)
-				nodeSnap.Merge(d.Snapshot)
-			}
-		}
-	}
-	for _, p := range finalOSS {
-		st, ok := p.terminate(8 * time.Second)
-		if !ok {
-			res.DeviceBusy = append(res.DeviceBusy, 0)
-			continue
-		}
-		res.DeviceBusy = append(res.DeviceBusy, time.Duration(st.BusySeconds*float64(time.Second)))
-	}
-	if coordProc != nil {
-		if st, ok := coordProc.terminate(8 * time.Second); ok {
-			// The coordination cost observable from outside the node
-			// processes: the centralized walk count (two control messages
-			// per walk, as the simulator counts them) and the bank's final
-			// centralized state.
-			res.CtrlMsgs += 2 * st.Walks
-			res.GIFTBankEntries = st.BankEntries
-			res.GIFTCouponsOutstanding = st.CouponsOutstanding
-		}
-	}
-	if cellObs != nil {
-		fillOutcomeCounters(cellObs.Metrics, res)
-	}
-	out := outcomeOf(res, spec.PerJobDigests)
-	attachObs(&out, cellObs)
-	if out.Obs != nil {
-		out.Obs.Merge(nodeSnap)
-	}
-	return out, nil
+	return runLiveCell(ctx, spec, liveCell{
+		device:      b.Device,
+		speedup:     b.Speedup,
+		bucketDepth: b.BucketDepth,
+		runner:      runner,
+		launch:      &procLauncher{b: b, faults: spec.Faults},
+	})
 }
 
-// drainNodeObs pulls one node's accumulated spans and cumulative metrics
-// snapshot over the wire (opcode 0xF7). Each node is its own process,
-// with trace thread ids and span ids scoped to itself; events are
-// relabeled onto the cell's per-node threads before the caller folds
-// them. Best-effort: a node that crashed and never restarted took its
-// spans down with it, exactly like a real process.
-func drainNodeObs(addr string, node int) (cluster.ObsDrain, bool) {
-	r := &transport.Redialer{Network: "tcp", Addr: addr, Attempts: 1}
-	defer r.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	rep, err := r.CallCtx(ctx, transport.Request{Op: cluster.OpObsDrain})
+// procLauncher spawns a cell's nodes as adaptbf-node processes reached
+// over loopback TCP, and realizes the crash/restart fault on the first
+// OSS node.
+type procLauncher struct {
+	b      *RemoteBackend
+	faults FaultProfile
+	bin    string
+	coord  *nodeProc
+	args   [][]string // each OSS node's flags, for a respawn
+
+	mu    sync.Mutex  // guards osses[0] and procs across a respawn
+	osses []*nodeProc // the live process per OSS slot
+	procs []*nodeProc // every process ever spawned, for kill
+}
+
+// spawn starts one node process and logs its readiness.
+func (l *procLauncher) spawn(args []string) (*nodeProc, error) {
+	p, err := spawnNode(l.bin, args)
 	if err != nil {
-		return cluster.ObsDrain{}, false
+		return nil, err
 	}
-	var d cluster.ObsDrain
-	if err := json.Unmarshal(rep.Payload, &d); err != nil {
-		return cluster.ObsDrain{}, false
+	l.mu.Lock()
+	l.procs = append(l.procs, p)
+	l.mu.Unlock()
+	if l.b.Logf != nil {
+		h := p.health
+		l.b.Logf("harness: node %s ready: role=%s policy=%s go=%s obs=%v uptime=%.2fs",
+			p.addr, h.Role, h.Policy, h.GoVersion, h.Obs, h.UptimeS)
 	}
-	for i := range d.Events {
-		// Data spans move to thread `node`, control spans to
-		// ControllerTID+node; async ids get the node in their high bits
-		// (the node's own OSS runs at tid 0, leaving them clear).
-		d.Events[i].TID += int64(node)
-		if d.Events[i].ID != 0 {
-			d.Events[i].ID |= uint64(node) << 32
+	return p, nil
+}
+
+func (l *procLauncher) start(coord *cluster.NodeConfig, osses []cluster.NodeConfig) error {
+	bin, err := l.b.bin()
+	if err != nil {
+		return err
+	}
+	l.bin = bin
+	// The GIFT coordinator first: agents dial it at startup.
+	coordAddr := ""
+	if coord != nil {
+		if l.coord, err = l.spawn(nodeArgs(*coord, "")); err != nil {
+			return err
+		}
+		coordAddr = l.coord.addr
+	}
+	for _, cfg := range osses {
+		args := nodeArgs(cfg, coordAddr)
+		p, err := l.spawn(args)
+		if err != nil {
+			return err
+		}
+		l.args = append(l.args, args)
+		l.osses = append(l.osses, p)
+	}
+	return nil
+}
+
+// dial returns a Redialer, which reconnects across node restarts; the
+// per-call retry budget lives in the runner, so internal attempts stay
+// at 1.
+func (l *procLauncher) dial(i int) transport.Caller {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return &transport.Redialer{Network: "tcp", Addr: l.osses[i].addr, Attempts: 1}
+}
+
+// injectFaults realizes the crash/restart fault: SIGKILL the first OSS
+// node mid-run (no drain, no STATS — a crash), optionally respawning it
+// on the same address so reconnecting clients recover.
+func (l *procLauncher) injectFaults(wallCap time.Duration, cellObs *obs.CellObs) func() {
+	if !l.faults.CrashOSS {
+		return func() {}
+	}
+	crashAfter := l.faults.CrashAfter
+	if crashAfter <= 0 {
+		crashAfter = wallCap / 4
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		select {
+		case <-ctx.Done():
+			return
+		case <-time.After(crashAfter):
+		}
+		l.mu.Lock()
+		victim := l.osses[0]
+		l.mu.Unlock()
+		victim.kill()
+		if cellObs != nil {
+			cellObs.Tracer.Instant("oss.crash", "fault", 0, cellObs.Tracer.Now(),
+				map[string]any{"addr": victim.addr})
+		}
+		if l.faults.RestartAfter <= 0 {
+			return
+		}
+		select {
+		case <-ctx.Done():
+			return
+		case <-time.After(l.faults.RestartAfter):
+		}
+		args := append([]string(nil), l.args[0]...)
+		for i := range args { // pin the respawn to the crashed node's address
+			if args[i] == "-listen" {
+				args[i+1] = victim.addr
+			}
+		}
+		p, err := l.spawn(args)
+		if err != nil {
+			return // clients keep failing against the dead addr; the cell reports it
+		}
+		l.mu.Lock()
+		l.osses[0] = p
+		l.mu.Unlock()
+		if cellObs != nil {
+			cellObs.Tracer.Instant("oss.restart", "fault", 0, cellObs.Tracer.Now(),
+				map[string]any{"addr": p.addr})
+		}
+	}()
+	return func() {
+		cancel()
+		wg.Wait()
+	}
+}
+
+func (l *procLauncher) stop() ([]cluster.NodeStats, cluster.NodeStats) {
+	l.mu.Lock()
+	final := append([]*nodeProc(nil), l.osses...)
+	l.mu.Unlock()
+	stats := make([]cluster.NodeStats, len(final))
+	for i, p := range final {
+		stats[i] = p.terminate(8 * time.Second)
+	}
+	var coord cluster.NodeStats
+	if l.coord != nil {
+		coord = l.coord.terminate(8 * time.Second)
+	}
+	return stats, coord
+}
+
+func (l *procLauncher) kill() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, p := range l.procs {
+		select {
+		case <-p.exited:
+		default:
+			p.kill()
 		}
 	}
-	return d, true
 }

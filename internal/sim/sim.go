@@ -37,6 +37,7 @@ package sim
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"adaptbf/internal/admission"
@@ -92,6 +93,48 @@ func (p Policy) String() string {
 	default:
 		return fmt.Sprintf("policy(%d)", int(p))
 	}
+}
+
+// Flag is the policy's command-line name — what ParsePolicy accepts and
+// what adaptbf-node's -policy takes. It is empty for an unknown policy.
+func (p Policy) Flag() string {
+	switch p {
+	case NoBW:
+		return "nobw"
+	case StaticBW:
+		return "static"
+	case AdapTBF:
+		return "adaptbf"
+	case SFQ:
+		return "sfq"
+	case GIFT:
+		return "gift"
+	case EDT:
+		return "edt"
+	default:
+		return ""
+	}
+}
+
+// ParsePolicy maps a policy name to its Policy: any Flag value
+// (case-insensitive), or an alias — none and fcfs for NoBW, sfqd and
+// sfq(d) for SFQ. The empty string means AdapTBF.
+func ParsePolicy(s string) (Policy, error) {
+	switch name := strings.ToLower(strings.TrimSpace(s)); name {
+	case "":
+		return AdapTBF, nil
+	case "none", "fcfs":
+		return NoBW, nil
+	case "sfqd", "sfq(d)":
+		return SFQ, nil
+	default:
+		for p := NoBW; p <= EDT; p++ {
+			if name == p.Flag() {
+				return p, nil
+			}
+		}
+	}
+	return 0, fmt.Errorf("sim: unknown policy %q (want nobw, static, adaptbf, sfq, edt, or gift)", s)
 }
 
 // Config describes one simulation scenario.

@@ -333,6 +333,39 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
+// TestParsePolicies: every policy round-trips through Flag and
+// ParsePolicy, and the aliases name the policies they stand for.
+func TestParsePolicies(t *testing.T) {
+	for p := NoBW; p <= EDT; p++ {
+		if p.Flag() == "" {
+			t.Fatalf("%v has no flag name", p)
+		}
+		if got, err := ParsePolicy(p.Flag()); err != nil || got != p {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", p.Flag(), got, err, p)
+		}
+	}
+	aliases := map[string]Policy{
+		"":        AdapTBF,
+		"AdapTBF": AdapTBF,
+		" gift ":  GIFT,
+		"none":    NoBW,
+		"fcfs":    NoBW,
+		"sfqd":    SFQ,
+		"SFQ(D)":  SFQ,
+	}
+	for in, want := range aliases {
+		if got, err := ParsePolicy(in); err != nil || got != want {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	if Policy(99).Flag() != "" {
+		t.Error("unknown policy has a flag name")
+	}
+	if _, err := ParsePolicy("bogus"); err == nil {
+		t.Error("bogus policy accepted")
+	}
+}
+
 func TestLatenciesRecorded(t *testing.T) {
 	res, err := Run(smallScenario(NoBW))
 	if err != nil {

@@ -45,7 +45,9 @@ def check_remote_smoke(args):
     for c in cells:
         assert c["backend"] == "remote", c
         assert not c.get("error"), c
-    print(f"remote report OK: {len(cells)} cells")
+    policies = {c["policy"] for c in cells}
+    assert len(policies) == len(cells), f"repeated policies: {sorted(policies)}"
+    print(f"remote report OK: {len(cells)} cells ({', '.join(sorted(policies))})")
 
 
 def check_saturation_smoke(args):
@@ -164,9 +166,9 @@ def main():
     sub = ap.add_subparsers(dest="check", required=True)
 
     p = sub.add_parser("remote-smoke",
-                       help="remote-backend grid report: all cells backend:remote, none failed")
+                       help="remote-backend grid report: one cell per policy, all backend:remote, none failed")
     p.add_argument("report")
-    p.add_argument("--cells", type=int, default=2, help="expected cell count")
+    p.add_argument("--cells", type=int, default=6, help="expected cell count (the six-policy axis)")
     p.set_defaults(fn=check_remote_smoke)
 
     p = sub.add_parser("saturation-smoke",
