@@ -21,18 +21,20 @@ import (
 )
 
 // A Policy selects the bandwidth-control mechanism: no control (FCFS),
-// static priority-proportional TBF rules, or the adaptive AdapTBF
-// controller.
+// static priority-proportional TBF rules, the adaptive AdapTBF
+// controller, or one of three comparison points (SFQ(D), GIFT, EDT).
 type Policy = sim.Policy
 
 // The paper's three evaluation mechanisms, plus the related-work SFQ(D)
-// fair-queueing baseline (§II/§V).
+// fair-queueing baseline (§II/§V), the GIFT centralized coupon
+// allocator, and EDT (Earliest Departure Time) per-flow pacing.
 const (
 	PolicyNoBW    = sim.NoBW
 	PolicyStatic  = sim.StaticBW
 	PolicyAdapTBF = sim.AdapTBF
 	PolicySFQ     = sim.SFQ
 	PolicyGIFT    = sim.GIFT
+	PolicyEDT     = sim.EDT
 )
 
 // A Job is a named, prioritized set of I/O processes (see

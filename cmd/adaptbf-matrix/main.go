@@ -96,9 +96,9 @@
 // meets the -slo-p99 target — reporting capacity-at-SLO with seed-axis
 // confidence intervals and the goodput/rejected split at the knee
 // (overriding axes: -seeds/-osses/-duration; -scales caps the ramp).
-// -study gate-contention sweeps runner concurrency against four
-// request-gate implementations (single-lock TBF, sharded TBF, EDT, SFQ)
-// on the live in-process backend and reports p99 latency, served
+// -study gate-contention sweeps runner concurrency against three
+// request gates (TBF under StaticBW, EDT, SFQ — each measured under its
+// own policy) on the live in-process backend and reports p99 latency, served
 // throughput, and the gate_lock_wait_ns p99 per (gate, concurrency)
 // point with seed-axis confidence intervals; here -scales IS the
 // concurrency axis — the one study where it sweeps — and -seeds/-osses/
@@ -223,7 +223,7 @@ var studyRejectedFlags = map[string][]string{
 		"faults", "node-bin", "remote",
 		"obs", "trace", "trace-cells",
 		"workload", "record-trace", "replay-trace"},
-	// Gate-contention fixes its scenario, its four gate variants, and the
+	// Gate-contention fixes its scenario, its three gate variants, and the
 	// live backend, and always runs with the obs layer (the lock-wait
 	// histogram IS the measurement); -scales (the concurrency axis),
 	// -seeds, -osses, -duration, -speedup, and -cell-timeout tune it.
@@ -596,8 +596,8 @@ func main() {
 			}
 			for _, g := range st.Document.GateContention.Gates {
 				last := g.Points[len(g.Points)-1]
-				fmt.Printf("study %s: %-12s (%s, %d shards) lock p99 %.0f ns at concurrency %d\n",
-					*study, g.Gate, g.Policy, g.Shards, last.LockWaitP99NsMean, last.Concurrency)
+				fmt.Printf("study %s: %-4s (%s) lock p99 %.0f ns at concurrency %d\n",
+					*study, g.Gate, g.Policy, last.LockWaitP99NsMean, last.Concurrency)
 			}
 			fmt.Println()
 			doc, rep = st.Document, st.Report

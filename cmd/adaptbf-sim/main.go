@@ -1,28 +1,24 @@
 // Command adaptbf-sim runs one simulation scenario and prints its
 // timelines and summary.
 //
-// Scenarios come from a JSON file (-config) or, without one, a built-in
-// two-job demo. Example config:
+// The workload comes from a workgen spec file in jobs mode (-workload;
+// the same schema the matrix's -workload takes, see
+// examples/workloads/) materialized at scale 1 on one OSS with seed 1,
+// or, without one, a built-in two-job demo. Example spec:
 //
 //	{
-//	  "policy": "adaptbf",
-//	  "maxTokenRate": 500,
-//	  "periodMs": 100,
-//	  "osts": 1,
-//	  "durationSec": 600,
+//	  "spec_version": 1,
+//	  "name": "two-jobs",
 //	  "jobs": [
-//	    {"id": "ior.n01", "nodes": 4, "procs": [
-//	      {"fileMiB": 1024, "count": 16}
-//	    ]},
-//	    {"id": "fb.n02", "nodes": 1, "procs": [
-//	      {"fileMiB": 1024, "burstRPCs": 64, "burstIntervalSec": 5, "count": 2}
-//	    ]}
+//	    {"id": "ior.n01", "nodes": 4, "procs": 16, "file_bytes": "1GiB"},
+//	    {"id": "fb.n02", "nodes": 1, "procs": 2, "file_bytes": "1GiB",
+//	     "burst_rpcs": 64, "burst_interval": "5s"}
 //	  ]
 //	}
 //
 // Usage:
 //
-//	adaptbf-sim [-config scenario.json] [-policy nobw|static|adaptbf] [-csv out.csv]
+//	adaptbf-sim [-workload spec.json] [-policy nobw|static|adaptbf|sfq|gift|edt] [-csv out.csv]
 package main
 
 import (
@@ -33,43 +29,43 @@ import (
 	"time"
 
 	"adaptbf"
-	"adaptbf/internal/config"
 	"adaptbf/internal/metrics"
 	"adaptbf/internal/sim"
+	"adaptbf/internal/workgen"
+	"adaptbf/internal/workload"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("adaptbf-sim: ")
-	configPath := flag.String("config", "", "scenario JSON file (omit for the built-in demo)")
-	policyFlag := flag.String("policy", "", "override the policy: nobw, static, or adaptbf")
+	workloadPath := flag.String("workload", "", "workgen spec file, jobs mode (omit for the built-in two-job demo)")
+	policyFlag := flag.String("policy", "adaptbf", "scheduling policy: nobw, static, adaptbf, sfq, gift, or edt")
 	csvPath := flag.String("csv", "", "also write the timeline as CSV to this file")
 	width := flag.Int("width", 72, "sparkline width")
 	flag.Parse()
 
-	var scenario adaptbf.Scenario
-	if *configPath != "" {
-		data, err := os.ReadFile(*configPath)
+	pol, err := sim.ParsePolicy(*policyFlag)
+	if err != nil {
+		log.Fatal(err)
+	}
+	const mib = 1 << 20
+	jobs := []workload.Job{
+		workload.Continuous("small.n01", 1, 8, 256*mib),
+		workload.Continuous("large.n02", 3, 8, 256*mib),
+	}
+	if *workloadPath != "" {
+		spec, err := workgen.LoadSpec(*workloadPath)
 		if err != nil {
 			log.Fatal(err)
 		}
-		scenario, err = config.Parse(data)
-		if err != nil {
-			log.Fatalf("parsing %s: %v", *configPath, err)
+		if spec.Stream != nil {
+			log.Fatalf("%s is a stream spec; run it with adaptbf-matrix -workload", *workloadPath)
 		}
-	} else {
-		scenario = config.Demo(adaptbf.PolicyAdapTBF)
-	}
-	if *policyFlag != "" {
-		pol, err := sim.ParsePolicy(*policyFlag)
-		if err != nil {
+		if jobs, err = spec.Materialize(1, 1, 1); err != nil {
 			log.Fatal(err)
 		}
-		scenario.Policy = pol
-		if *configPath == "" {
-			scenario = config.Demo(pol)
-		}
 	}
+	scenario := adaptbf.Scenario{Policy: pol, Jobs: jobs, SampleRecords: pol == sim.AdapTBF}
 
 	res, err := adaptbf.Run(scenario)
 	if err != nil {

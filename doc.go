@@ -26,8 +26,8 @@
 //     internal/experiments, internal/metrics);
 //   - a live goroutine/RPC cluster mode (internal/transport,
 //     internal/cluster) running all six policies on the wall clock,
-//     including a central GIFT coupon-bank coordinator service and
-//     lock-striped request gates (cluster.ShardedTBF, sharded EDT);
+//     including a central GIFT coupon-bank coordinator service, with
+//     one locked request gate per OSS whatever the policy;
 //   - an Earliest-Departure-Time pacing gate (internal/edt): per-flow
 //     departure stamps in a timestamp priority queue, the post-TBF
 //     pacing model, as a sixth policy on every backend;
@@ -154,24 +154,22 @@
 //     with the stamp advanced by bytes/rate, and a timestamp priority
 //     queue releases requests as the clock reaches them, with
 //     far-future departures clamped to a horizon instead of dropped
-//     (the gate contract has no drop path). The gate is striped across
-//     flow-hashed shards (cluster.DefaultGateShards): a flow's pacing
-//     state is one int64 in one shard, so flows never contend — the
-//     multi-core argument that moved production traffic shaping past
-//     token buckets. Like SFQ, an EDT server has no rule engine and no
-//     controller.
+//     (the gate contract has no drop path). It is the simulator's
+//     edt.Scheduler behind the OSS's gate lock, so the live gate
+//     releases in the same global earliest-departure order. Like SFQ,
+//     an EDT server has no rule engine and no controller.
 //
-// On the TBF-ruled policies (StaticBW, AdapTBF, GIFT), setting
-// ClusterBackend.TBFShards > 1 swaps the single-mutex gate for
-// cluster.ShardedTBF: the same token buckets striped over flow-hashed
-// locks, rules broadcast to every shard, with each class's bucket
-// materialized only in the one shard its flow hashes to — so sharding
-// never multiplies a token budget (pinned by a -race conservation
-// test).
+// Every policy's gate is one single-threaded scheduler (tbf, sfq or
+// edt — the ones the simulator runs) behind one mutex, as Lustre's NRS
+// TBF runs one scheduler per OSS; striping the lock by flow measured
+// slower than the single lock on a 2-core Xeon (BenchmarkGateTBF,
+// BenchmarkGateEDT). Two -race tests pin the paper's gate invariants
+// under 16 racing enqueuers: no token over-issue, and no EDT release
+// before its departure stamp.
 //
 // To add a live policy: give cluster.OSS whatever per-server gate or
-// rule machinery the mechanism needs (SFQ shows the gate seam,
-// requestGate; GIFT shows the coordinator-service pattern over
+// rule machinery the mechanism needs (SFQ shows the gate seam, a
+// seqGate behind lockedGate; GIFT shows the coordinator-service pattern over
 // transport.Request.Payload), give the policy a name in sim.Policy.Flag,
 // wire its arm into cluster.NewNode, report its accounting in
 // cluster.NodeStats, and extend the six-policy live and remote smokes in
@@ -331,18 +329,17 @@
 // serving path itself: on the live backend it sweeps runner concurrency
 // — the gate-contention scenario's Scale is the total concurrent client
 // processes, making this the one study where -scales is a sweep axis —
-// against four request-gate implementations: single-lock TBF,
-// lock-striped sharded TBF, EDT, and SFQ. Per (gate, concurrency)
-// point it reports seed-axis p99 latency, served throughput, and the
-// p99 of gate_lock_wait_ns, observed identically for every gate at the
-// requestGate seam (one histogram sample per lock acquisition). The
-// tbf vs sharded-tbf pair isolates lock striping — same buckets, same
-// StaticBW rules — while EDT replaces shared bucket state with
-// departure stamps. The document's "gate_contention" section (schema
-// v8, which also adds histogram bucket exports under per-cell obs)
-// carries the full sweep; CI smokes two concurrency points per push,
-// and the nightly ramp to 64 runners is where the scaling claim is
-// actually measurable.
+// against three request gates: TBF (under StaticBW rules), EDT, and
+// SFQ. Per (gate, concurrency) point it reports seed-axis p99 latency,
+// served throughput, and the p99 of gate_lock_wait_ns, observed
+// identically for every gate at the gate-lock seam (one histogram
+// sample per lock acquisition). Each arm measures a gate under its own
+// policy: the arms differ in scheduler and in the traffic the policy
+// lets through, so a gap between arms is not a property of the lock
+// alone. The document's "gate_contention" section (schema v8 added it
+// with histogram bucket exports under per-cell obs; v9 dropped the
+// per-gate lock-stripe count) carries the full sweep; CI smokes two
+// concurrency points per push, and the nightly ramps to 64 runners.
 //
 // To add a study: build a harness.Matrix, run it, derive per-cell
 // scalars from the cells (pure functions of CellResult), fold them into

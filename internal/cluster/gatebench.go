@@ -19,8 +19,7 @@ import (
 // benchmarks report and BENCH_matrix.json tracks.
 
 // gateBenchJobs is the fixed flow set every measurement hammers: eight
-// flows, enough to spread across DefaultGateShards stripes without any
-// stripe going idle.
+// flows, so the schedulers' per-flow state is exercised, not one queue.
 var gateBenchJobs = func() []string {
 	jobs := make([]string, 8)
 	for i := range jobs {
@@ -45,35 +44,25 @@ func gateBenchRules() []tbf.Rule {
 	return rules
 }
 
-// newGateUnderMeasurement stands up the named gate implementation with
-// the measurement fixture installed: "tbf" (single-lock token bucket),
-// "sharded-tbf" (the same buckets striped over DefaultGateShards
-// flow-hashed locks), or "edt" (sharded earliest-departure-time pacing,
-// rates set so departure stamps never delay).
-func newGateUnderMeasurement(name string) (requestGate, error) {
-	const bucketDepth = 16
+// newGateUnderMeasurement stands up the named gate with the
+// measurement fixture installed: "tbf" (token buckets under the
+// fixture's rules) or "edt" (earliest-departure-time pacing, rates set
+// so departure stamps never delay), each behind the OSS's single gate
+// lock.
+func newGateUnderMeasurement(name string) (*lockedGate, error) {
 	switch name {
 	case "tbf":
-		sc := tbf.NewScheduler(tbf.Config{BucketDepth: bucketDepth})
+		sc := tbf.NewScheduler(tbf.Config{BucketDepth: 16})
 		for _, r := range gateBenchRules() {
 			if err := sc.StartRule(r, 0); err != nil {
 				return nil, err
 			}
 		}
 		return newLockedGate(sc, nil), nil
-	case "sharded-tbf":
-		st := NewShardedTBF(DefaultGateShards, bucketDepth, nil)
-		eng := st.Engine()
-		for _, r := range gateBenchRules() {
-			if err := eng.StartRule(r, 0); err != nil {
-				return nil, err
-			}
-		}
-		return st, nil
 	case "edt":
-		return newShardedEDT(DefaultGateShards, edt.Config{
+		return newLockedGate(edt.New(edt.Config{
 			Rates: func(string) float64 { return 1e15 }, // bytes/s, never the bottleneck
-		}, nil), nil
+		}), nil), nil
 	default:
 		return nil, fmt.Errorf("cluster: unknown gate under measurement %q", name)
 	}
@@ -81,7 +70,7 @@ func newGateUnderMeasurement(name string) (requestGate, error) {
 
 // GateThroughputNames lists the gate implementations
 // MeasureGateThroughput knows how to stand up, in canonical order.
-func GateThroughputNames() []string { return []string{"tbf", "sharded-tbf", "edt"} }
+func GateThroughputNames() []string { return []string{"tbf", "edt"} }
 
 // MeasureGateThroughput hammers the named gate for one wall-clock window
 // with GOMAXPROCS enqueuer goroutines racing a single dispatcher — the

@@ -9,8 +9,8 @@ import (
 	"adaptbf/internal/tbf"
 )
 
-// The gate contention benchmarks pit the three live request gates
-// against each other under b.RunParallel: every P hammers Enqueue with
+// The gate contention benchmarks drive the live TBF and EDT gates
+// under b.RunParallel: every P hammers Enqueue with
 // flow-keyed requests while a single dispatcher goroutine drains — the
 // exact threading shape of a live OSS (many runner goroutines, one
 // dispatcher). The fixture (flows, rules, gate construction) is shared
@@ -57,6 +57,5 @@ func benchGate(b *testing.B, name string) {
 	b.StopTimer()
 }
 
-func BenchmarkGateTBF(b *testing.B)        { benchGate(b, "tbf") }
-func BenchmarkGateShardedTBF(b *testing.B) { benchGate(b, "sharded-tbf") }
-func BenchmarkGateEDT(b *testing.B)        { benchGate(b, "edt") }
+func BenchmarkGateTBF(b *testing.B) { benchGate(b, "tbf") }
+func BenchmarkGateEDT(b *testing.B) { benchGate(b, "edt") }

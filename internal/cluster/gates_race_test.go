@@ -12,7 +12,7 @@ import (
 	"adaptbf/internal/tbf"
 )
 
-// Conservation and pacing invariants of the concurrent gates, written
+// Conservation and pacing invariants of the live request gate, written
 // to run under -race with at least 16 enqueuer goroutines racing the
 // single dispatcher — the threading shape of a live OSS. Both
 // assertions are direction-robust against scheduler slowness (the race
@@ -22,27 +22,27 @@ import (
 
 const raceEnqueuers = 16
 
-// TestShardedTBFNoTokenOverIssue: rules are broadcast to every shard
-// of a ShardedTBF, so a bug that materialized one class's bucket in
-// more than one shard would multiply its token budget by up to the
-// stripe count. The invariant: over a window T, each class releases at
-// most depth + rate*T requests (one token per request, buckets start
-// full), no matter how many shards the rule set was broadcast to.
-func TestShardedTBFNoTokenOverIssue(t *testing.T) {
+// TestTBFGateNoTokenOverIssue: with 16 enqueuers racing the
+// dispatcher and the rule installed through the OSS's own locked rule
+// engine, over a window T each class releases at most depth + rate*T
+// requests (one token per request, buckets start full). A request
+// released outside the gate lock, or a bucket refilled twice by racing
+// callers, would break the budget.
+func TestTBFGateNoTokenOverIssue(t *testing.T) {
 	const (
 		rate   = 50.0 // tokens/s per (rule, class) bucket
 		depth  = 4.0
 		window = 300 * time.Millisecond
 	)
-	st := NewShardedTBF(DefaultGateShards, depth, nil)
+	sc := tbf.NewScheduler(tbf.Config{BucketDepth: depth})
+	st := newLockedGate(sc, nil)
 	flows := make([]string, 8)
 	for i := range flows {
 		flows[i] = fmt.Sprintf("race%d.n01", i+1)
 	}
 	// One rule matching every flow: per tbf semantics each class (job
-	// ID) still gets its own bucket, and each bucket must live in
-	// exactly one shard despite the rule broadcast.
-	if err := st.Engine().StartRule(tbf.Rule{
+	// ID) still gets its own bucket.
+	if err := (lockedTBFEngine{g: st, sched: sc}).StartRule(tbf.Rule{
 		Name:  "race_all",
 		Match: tbf.Match{JobIDs: flows},
 		Rate:  rate,
@@ -87,7 +87,7 @@ func TestShardedTBFNoTokenOverIssue(t *testing.T) {
 	var total int
 	for _, f := range flows {
 		if got := served[f]; float64(got) > budget {
-			t.Errorf("class %s released %d requests in %.3fs; token budget is %.1f (depth %.0f + %.0f/s): tokens over-issued across shards",
+			t.Errorf("class %s released %d requests in %.3fs; token budget is %.1f (depth %.0f + %.0f/s): tokens over-issued",
 				f, got, elapsed, budget, depth, rate)
 		}
 		total += served[f]
@@ -100,16 +100,16 @@ func TestShardedTBFNoTokenOverIssue(t *testing.T) {
 	}
 }
 
-// TestShardedEDTNeverReleasesEarly: the live EDT gate must never
+// TestEDTGateNeverReleasesEarly: the live EDT gate must never
 // release a flow's k-th request before t0 + (k-1)*bytes/rate. Each
 // enqueue advances the flow's next-departure stamp by bytes/rate from
-// max(now, stamp) under the flow's shard lock, so the k-th stamp is at
-// least that far past the first enqueue regardless of how 16 racing
+// max(now, stamp) under the gate lock, so the k-th stamp is at least
+// that far past the first enqueue regardless of how 16 racing
 // enqueuers interleave — the lower bound holds against the test's own
 // start time, which precedes every enqueue. (internal/edt pins the
-// single-threaded contract; this is the concurrent, sharded-gate
+// single-threaded contract; this is the concurrent, locked-gate
 // version of the same claim.)
-func TestShardedEDTNeverReleasesEarly(t *testing.T) {
+func TestEDTGateNeverReleasesEarly(t *testing.T) {
 	const (
 		rateBps      = 1e6     // bytes/s per flow
 		reqBytes     = 4 << 10 // 4 KiB -> ~4.1ms pacing gap per request
@@ -119,10 +119,10 @@ func TestShardedEDTNeverReleasesEarly(t *testing.T) {
 	for i := range flows {
 		flows[i] = fmt.Sprintf("edt%d.n01", i+1)
 	}
-	gate := newShardedEDT(DefaultGateShards, edt.Config{
+	gate := newLockedGate(edt.New(edt.Config{
 		Rates:   func(string) float64 { return rateBps },
 		Horizon: int64(time.Hour), // no clamping: clamps would legitimately release early
-	}, nil)
+	}), nil)
 
 	t0 := time.Now().UnixNano()
 	var wg sync.WaitGroup

@@ -153,7 +153,7 @@ type GIFTAgent struct {
 // agent ticks faster on the wall clock by the Speedup factor so the
 // logical epoch matches. Run it with go agent.Run(ctx).
 func (o *OSS) NewGIFTAgent(coord transport.Caller, maxRate float64, period time.Duration) *GIFTAgent {
-	if o.eng == nil {
+	if o.tbfSched == nil {
 		panic("cluster: an SFQ- or EDT-gated OSS has no TBF rules for a GIFT agent to drive")
 	}
 	return &GIFTAgent{

@@ -45,12 +45,11 @@ type SFQConfig struct {
 }
 
 // EDTConfig selects Earliest Departure Time pacing for an OSS: the
-// request gate becomes a sharded edt.Scheduler — per-flow departure
-// timestamps (delay = bytes/rate) instead of shared token state, the
-// pacing model production traffic shaping moved to when single-lock
-// token buckets became the scaling wall. An EDT-gated OSS has no rule
-// engine and no AdapTBF controller; its rates are fixed at
-// construction.
+// request gate becomes an edt.Scheduler — per-flow departure
+// timestamps (delay = bytes/rate) instead of shared token state,
+// released in global earliest-departure order exactly as the simulator
+// releases them. An EDT-gated OSS has no rule engine and no AdapTBF
+// controller; its rates are fixed at construction.
 type EDTConfig struct {
 	// Rates returns a flow's pacing rate in BYTES per second, sampled
 	// once when the flow is first seen. Nil (or a non-positive return)
@@ -60,8 +59,6 @@ type EDTConfig struct {
 	// (Linux FQ drops beyond its horizon; this gate has no drop path,
 	// so it clamps). Zero selects edt.DefaultHorizon (2 s).
 	Horizon time.Duration
-	// Shards is the gate stripe count. Zero selects DefaultGateShards.
-	Shards int
 }
 
 // OSSConfig parameterizes a storage server.
@@ -76,17 +73,10 @@ type OSSConfig struct {
 	// SFQ, when non-nil, gates requests through Start-time Fair Queueing
 	// instead of the TBF scheduler (see SFQConfig).
 	SFQ *SFQConfig
-	// EDT, when non-nil, gates requests through sharded Earliest
-	// Departure Time pacing instead of the TBF scheduler (see
-	// EDTConfig). Mutually exclusive with SFQ; EDT wins if both are
-	// set.
+	// EDT, when non-nil, gates requests through Earliest Departure
+	// Time pacing instead of the TBF scheduler (see EDTConfig).
+	// Mutually exclusive with SFQ; EDT wins if both are set.
 	EDT *EDTConfig
-	// TBFShards, when > 1, stripes the TBF gate across that many
-	// independently locked shards keyed by flow hash (see ShardedTBF),
-	// so concurrent runners stop serializing behind one root lock. The
-	// default (0 or 1) is the single-lock gate. Ignored when SFQ or
-	// EDT selects a different gate.
-	TBFShards int
 	// Admission selects the overload-protection policy in front of the
 	// server (package admission). The zero value is always-admit: the
 	// seam is skipped entirely. Rejected requests answer with a typed
@@ -105,18 +95,6 @@ type OSSConfig struct {
 	ObsTID int
 }
 
-// requestGate is the scheduler standing between arriving requests and the
-// dispatcher — the live twin of the simulator's gate seam. Every
-// implementation is safe for concurrent use: the single-threaded
-// schedulers (tbf, sfq, edt) are wrapped by the self-synchronized
-// gates in gates.go, which also observe gate_lock_wait_ns, so each
-// gate reports comparable lock-wait numbers from the same seam.
-type requestGate interface {
-	Enqueue(req *tbf.Request, now int64)
-	Dequeue(now int64) (req *tbf.Request, wake int64, ok bool)
-	PendingJobs() map[string]int
-}
-
 // An OSS is one object storage server hosting one storage target. It
 // serves transport requests through a TBF scheduler and a device model,
 // with a single dispatcher goroutine standing in for the I/O thread pool
@@ -133,17 +111,13 @@ type OSS struct {
 	// byte accounting, and the RPC trace sequence — so gate contention
 	// is the gate's own, measured inside it, not smeared across every
 	// server operation.
-	gate requestGate
-	// TBF-gated servers expose their rule engine and token
-	// introspection through these; all nil for SFQ and EDT gates, which
-	// have no token rules.
-	eng          rules.Engine
-	bucketTokens func(now int64) float64
-	bucketLevels func(now int64, dst map[string]float64)
-	// SFQ-gated servers release a dispatch slot per served request and
-	// report slot occupancy for traces; both nil otherwise.
-	onServed func()
-	sfqInfo  func() (slots, depth int)
+	gate *lockedGate
+	// The scheduler behind gate, reached only under its lock: tbfSched
+	// on a TBF-gated server (rules and token introspection), sfqSched
+	// on an SFQ-gated one (dispatch-slot release). At most one is set;
+	// both are nil under EDT.
+	tbfSched *tbf.Scheduler
+	sfqSched *sfq.Scheduler
 
 	mu          sync.Mutex
 	outstanding map[int]int
@@ -208,40 +182,18 @@ func NewOSS(cfg OSSConfig) *OSS {
 			o.depthG = m.Gauge(obs.GaugeQueueDepth)
 		}
 	}
+	var inner seqGate
 	switch {
 	case cfg.EDT != nil:
-		o.gate = newShardedEDT(cfg.EDT.Shards, edt.Config{
-			Rates:   cfg.EDT.Rates,
-			Horizon: int64(cfg.EDT.Horizon),
-		}, waitH)
+		inner = edt.New(edt.Config{Rates: cfg.EDT.Rates, Horizon: int64(cfg.EDT.Horizon)})
 	case cfg.SFQ != nil:
-		q := sfq.New(cfg.SFQ.Depth, cfg.SFQ.Weights)
-		lg := newLockedGate(q, waitH)
-		o.gate = lg
-		o.onServed = func() { lg.withLock(q.Complete) }
-		o.sfqInfo = func() (slots, depth int) {
-			lg.withLock(func() { slots, depth = q.InService(), q.Depth() })
-			return
-		}
-	case cfg.TBFShards > 1:
-		st := NewShardedTBF(cfg.TBFShards, cfg.BucketDepth, waitH)
-		o.gate = st
-		o.eng = st.Engine()
-		o.bucketTokens = st.BucketTokens
-		o.bucketLevels = st.BucketLevelsInto
+		o.sfqSched = sfq.New(cfg.SFQ.Depth, cfg.SFQ.Weights)
+		inner = o.sfqSched
 	default:
-		sc := tbf.NewScheduler(tbf.Config{BucketDepth: cfg.BucketDepth})
-		lg := newLockedGate(sc, waitH)
-		o.gate = lg
-		o.eng = lockedTBFEngine{g: lg, sched: sc}
-		o.bucketTokens = func(now int64) (tokens float64) {
-			lg.withLock(func() { tokens = sc.BucketTokens(now) })
-			return
-		}
-		o.bucketLevels = func(now int64, dst map[string]float64) {
-			lg.withLock(func() { sc.BucketLevelsInto(now, dst) })
-		}
+		o.tbfSched = tbf.NewScheduler(tbf.Config{BucketDepth: cfg.BucketDepth})
+		inner = o.tbfSched
 	}
+	o.gate = newLockedGate(inner, waitH)
 	o.wg.Add(1)
 	go o.dispatch()
 	return o
@@ -357,8 +309,9 @@ func (o *OSS) dispatch() {
 			ad := req.Userdata.(admitted)
 			if o.trace != nil {
 				o.trace.AsyncEnd("queue", "rpc", o.tid, ad.traceID, now, nil)
-				if o.sfqInfo != nil {
-					slots, depth := o.sfqInfo()
+				if o.sfqSched != nil {
+					var slots, depth int
+					o.gate.withLock(func() { slots, depth = o.sfqSched.InService(), o.sfqSched.Depth() })
 					o.trace.Instant("sfq.dispatch", "sfq", o.tid, now,
 						map[string]any{"slots": slots, "depth": depth})
 				}
@@ -375,9 +328,7 @@ func (o *OSS) dispatch() {
 					delete(o.outstanding, req.Stream)
 				}
 				o.mu.Unlock()
-				if o.onServed != nil {
-					o.onServed() // frees the SFQ dispatch slot
-				}
+				o.releaseSlot()
 				if o.trace != nil {
 					o.trace.AsyncEnd("rpc", "rpc", o.tid, ad.traceID, o.Now(),
 						map[string]any{"outcome": "shed"})
@@ -403,9 +354,7 @@ func (o *OSS) dispatch() {
 				delete(o.outstanding, req.Stream)
 			}
 			o.mu.Unlock()
-			if o.onServed != nil {
-				o.onServed() // frees the SFQ dispatch slot
-			}
+			o.releaseSlot()
 			if o.trace != nil {
 				// The device phase is sequential by construction (one
 				// dispatcher), so a complete span nests cleanly; the RPC
@@ -440,6 +389,14 @@ func (o *OSS) dispatch() {
 			timer.Stop()
 			return
 		}
+	}
+}
+
+// releaseSlot frees the SFQ dispatch slot of a request that left
+// the dispatcher; a no-op on other gates.
+func (o *OSS) releaseSlot() {
+	if o.sfqSched != nil {
+		o.gate.withLock(o.sfqSched.Complete)
 	}
 }
 
@@ -490,37 +447,6 @@ func (o *OSS) PendingJobs() map[string]int {
 	return o.gate.PendingJobs()
 }
 
-// lockedTBFEngine adapts a single-lock TBF gate's rule interface: every
-// mutation runs under the gate lock, where the scheduler's state lives.
-type lockedTBFEngine struct {
-	g     *lockedGate
-	sched *tbf.Scheduler
-}
-
-func (e lockedTBFEngine) Rules() []tbf.Rule {
-	var out []tbf.Rule
-	e.g.withLock(func() { out = e.sched.Rules() })
-	return out
-}
-
-func (e lockedTBFEngine) StartRule(r tbf.Rule, now int64) error {
-	var err error
-	e.g.withLock(func() { err = e.sched.StartRule(r, now) })
-	return err
-}
-
-func (e lockedTBFEngine) ChangeRule(name string, rate float64, order int, now int64) error {
-	var err error
-	e.g.withLock(func() { err = e.sched.ChangeRule(name, rate, order, now) })
-	return err
-}
-
-func (e lockedTBFEngine) StopRule(name string, now int64) error {
-	var err error
-	e.g.withLock(func() { err = e.sched.StopRule(name, now) })
-	return err
-}
-
 // wakeEngine decorates a rule engine with a dispatcher wake after every
 // mutation, since a rate change can make a queue immediately eligible.
 type wakeEngine struct {
@@ -563,15 +489,15 @@ func (noRuleEngine) StartRule(tbf.Rule, int64) error              { return ErrNo
 func (noRuleEngine) ChangeRule(string, float64, int, int64) error { return ErrNoRuleEngine }
 func (noRuleEngine) StopRule(string, int64) error                 { return ErrNoRuleEngine }
 
-// Engine returns a thread-safe rules.Engine over this OSS's scheduler
-// (single-lock or sharded), for the rule daemon or for installing
+// Engine returns a thread-safe rules.Engine over this OSS's TBF
+// scheduler, for the rule daemon or for installing
 // static/administrative rules. On an SFQ- or EDT-gated OSS every
 // mutation fails with ErrNoRuleEngine.
 func (o *OSS) Engine() rules.Engine {
-	if o.eng == nil {
+	if o.tbfSched == nil {
 		return noRuleEngine{}
 	}
-	return wakeEngine{inner: o.eng, wake: o.wake}
+	return wakeEngine{inner: lockedTBFEngine{g: o.gate, sched: o.tbfSched}, wake: o.wake}
 }
 
 // observeTick feeds one AdapTBF controller tick into the obs sinks —
@@ -590,11 +516,13 @@ func (o *OSS) observeTick(rep controller.TickReport) {
 		buckets = make(map[string]float64)
 	}
 	var tokens float64
-	if o.bucketTokens != nil {
-		tokens = o.bucketTokens(rep.Now)
-		if buckets != nil {
-			o.bucketLevels(rep.Now, buckets)
-		}
+	if o.tbfSched != nil {
+		o.gate.withLock(func() {
+			tokens = o.tbfSched.BucketTokens(rep.Now)
+			if buckets != nil {
+				o.tbfSched.BucketLevelsInto(rep.Now, buckets)
+			}
+		})
 	}
 	o.mu.Lock()
 	depth := o.queued
@@ -620,7 +548,7 @@ func (o *OSS) observeTick(rep controller.TickReport) {
 // the local engine — no information leaves the storage server, which is
 // the paper's decentralization property. Run it with go ctrl.Run(ctx).
 func (o *OSS) NewController(nodes controller.NodeMapper, maxRate float64, period time.Duration, opts ...core.Option) *controller.Controller {
-	if o.eng == nil {
+	if o.tbfSched == nil {
 		panic("cluster: an SFQ- or EDT-gated OSS has no TBF rules for a controller to drive")
 	}
 	cfg := controller.Config{

@@ -9,10 +9,10 @@
 //	departure = max(now, flow.nextDeparture)
 //	flow.nextDeparture = departure + bytes/rate
 //
-// — and released only once the clock reaches its stamp. The only
-// cross-request state is a timestamp priority queue, so the gate
-// shards trivially: a flow's pacing state is one int64, and flows
-// never contend with each other.
+// — and released only once the clock reaches its stamp. A flow's
+// pacing state is one int64; the only cross-request state is a
+// timestamp priority queue, which releases requests in global
+// earliest-departure order.
 //
 // Linux FQ bounds how far into the future a packet may be scheduled
 // with a horizon and drops beyond it. The request-gate contract here
@@ -21,8 +21,8 @@
 // back to the horizon and counted, keeping the gate work-conserving.
 //
 // The scheduler is single-threaded like tbf.Scheduler and sfq.Scheduler;
-// concurrent callers wrap it in a lock (see internal/cluster's gate
-// wrappers, which also stripe EDT state across shards by flow hash).
+// concurrent callers wrap it in a lock (see internal/cluster's
+// lockedGate, the live OSS's request gate).
 package edt
 
 import "adaptbf/internal/tbf"
@@ -61,7 +61,7 @@ type entry struct {
 }
 
 // Scheduler is a single-threaded EDT request gate. It implements the
-// simulator's and the cluster's requestGate seams.
+// simulator's requestGate seam and the cluster's seqGate.
 type Scheduler struct {
 	cfg     Config
 	horizon int64

@@ -47,11 +47,6 @@ type ClusterBackend struct {
 	// discard tokens on every oversleep; the default of 16 (vs the
 	// simulator's Lustre-default 3) absorbs that jitter.
 	BucketDepth float64
-	// TBFShards, when > 1, stripes each OSS's token-bucket gate across
-	// that many locks keyed by flow hash (cluster.ShardedTBF) instead
-	// of the single-lock gate, for the TBF-family policies (NoBW,
-	// StaticBW, AdapTBF, GIFT). The gate-contention study sweeps this.
-	TBFShards int
 }
 
 // Name reports "live".
@@ -66,7 +61,6 @@ func (b *ClusterBackend) RunCell(ctx context.Context, spec CellSpec) (CellOutcom
 		device:      b.Device,
 		speedup:     b.Speedup,
 		bucketDepth: b.BucketDepth,
-		tbfShards:   b.TBFShards,
 		launch:      &pipeLauncher{},
 	})
 }

@@ -49,7 +49,6 @@ type liveCell struct {
 	device      device.Params
 	speedup     float64
 	bucketDepth float64
-	tbfShards   int
 	// runner is the template every job runner copies: its per-RPC
 	// timeout and retry policy.
 	runner cluster.JobRunner
@@ -163,7 +162,7 @@ func runLiveCell(ctx context.Context, spec CellSpec, lc liveCell) (CellOutcome, 
 		}
 		osses[i] = cluster.NodeConfig{
 			Role:      "oss",
-			OSS:       cluster.OSSConfig{Device: d, BucketDepth: depth, Speedup: speedup, TBFShards: lc.tbfShards},
+			OSS:       cluster.OSSConfig{Device: d, BucketDepth: depth, Speedup: speedup},
 			Policy:    policy,
 			MaxRate:   spec.MaxTokenRate,
 			Period:    spec.Period,

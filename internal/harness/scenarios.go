@@ -121,7 +121,8 @@ func SaturationRampScenario() Scenario {
 // flat-out until the matrix Duration caps it and every served request
 // crossed the OSS's request gate while Scale-1 peers were hammering the
 // same gate. Small RPCs maximize gate acquisitions per byte; four flows
-// give flow-hashed sharded gates something to actually stripe. It lives
+// give the per-flow scheduler state (token buckets, departure stamps,
+// start tags) more than one queue to keep. It lives
 // in BuiltinScenarios (selectable via -scenarios) but deliberately not
 // in DefaultScenarios: growing that list would move the golden
 // fingerprint, and concurrency-scale semantics are nonsense in a volume

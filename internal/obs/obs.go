@@ -58,11 +58,10 @@ const (
 	GaugeQueueDepth = "gate_queue_depth"
 	// HistGateLockWait measures time spent waiting to acquire a live
 	// OSS request-gate lock (wall nanoseconds; live/remote backends
-	// only). The observation lives inside the gate wrappers themselves
-	// — one sample per lock acquisition, whichever gate (single-lock
-	// TBF, sharded TBF, sharded EDT, SFQ) and whichever stripe — so
-	// every gate reports comparable contention numbers from the same
-	// seam. The gate-contention study compares these distributions.
+	// only). The observation lives inside the gate lock itself — one
+	// sample per lock acquisition, whichever scheduler (TBF, EDT, SFQ)
+	// sits behind it — so every gate reports comparable contention
+	// numbers from the same seam. The gate-contention study compares these distributions.
 	HistGateLockWait = "gate_lock_wait_ns"
 )
 

@@ -133,7 +133,7 @@ func TestGateMatchesTrackedFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.GateThroughput == nil || len(spec.GateThroughput.Gates) != 3 {
+	if spec.GateThroughput == nil || len(spec.GateThroughput.Gates) != 2 {
 		t.Fatalf("tracked gate_throughput section missing or wrong size: %+v", spec.GateThroughput)
 	}
 	res, err := harness.Run(context.Background(), harness.Matrix{

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"adaptbf/internal/cluster"
 	"adaptbf/internal/experiments"
 	"adaptbf/internal/harness"
 	"adaptbf/internal/obs"
@@ -20,8 +19,8 @@ const GateContentionStudyName = "gate-contention"
 // A GateContentionPoint is one (gate, concurrency) grid point folded
 // over the seed axis. Latency statistics cover served RPCs; the
 // lock-wait statistics come from the gate_lock_wait_ns histogram every
-// gate observes at the shared requestGate seam, so the numbers are
-// comparable across gate implementations by construction.
+// gate observes at the same gate-lock seam, so the numbers are
+// comparable across gates by construction.
 type GateContentionPoint struct {
 	Concurrency int64 `json:"concurrency"`
 	N           int64 `json:"n"` // completed seeds
@@ -44,20 +43,18 @@ type GateContentionPoint struct {
 // A GateContentionGate is one gate implementation's finished
 // concurrency sweep.
 type GateContentionGate struct {
-	// Gate names the implementation: "tbf" (single-lock token bucket),
-	// "sharded-tbf" (the same buckets striped over flow-hashed locks),
-	// "edt" (sharded earliest-departure-time pacing), or "sfq".
+	// Gate names the scheduler behind the OSS's gate lock: "tbf"
+	// (token buckets), "edt" (earliest-departure-time pacing), or
+	// "sfq".
 	Gate string `json:"gate"`
 	// Policy is the scheduling policy that exercises the gate
-	// (StaticBW for the TBF pair, so bucket state is actually hit).
+	// (StaticBW for tbf, so bucket state is actually hit).
 	Policy string `json:"policy"`
-	// Shards is the gate's lock-stripe count (0 = single lock).
-	Shards int `json:"shards"`
 
 	Points []GateContentionPoint `json:"points"`
 }
 
-// A GateContention is the gate-contention section of a schema-v8
+// A GateContention is the gate-contention section of a schema-v9
 // document: per gate implementation, how p99 latency, served
 // throughput, and gate-lock wait respond to runner concurrency.
 type GateContention struct {
@@ -74,17 +71,14 @@ type GateContention struct {
 
 // GateContentionStudyOptions parameterizes RunGateContentionStudy. The
 // zero value sweeps runner concurrency {4, 16, 32} over seeds {1, 2, 3}
-// on one OSS, 2 OSS-seconds per cell, comparing the single-lock TBF
-// gate, the sharded TBF gate, EDT, and SFQ.
+// on one OSS, 2 OSS-seconds per cell, comparing the TBF, EDT, and SFQ
+// gates.
 type GateContentionStudyOptions struct {
 	// Concurrencies is the runner-concurrency axis (the scenario's
 	// Scale: total concurrent client processes). Default {4, 16, 32}.
 	Concurrencies []int64
 	Seeds         []int64 // default {1, 2, 3}
 	OSSes         int     // default 1
-	// Shards is the sharded gates' lock-stripe count. Default
-	// cluster.DefaultGateShards.
-	Shards int
 	// Duration caps each cell in OSS time. Live cells run on the wall
 	// clock, so keep this small; default 2 s.
 	Duration time.Duration
@@ -112,9 +106,6 @@ func (o GateContentionStudyOptions) normalize() GateContentionStudyOptions {
 	if o.OSSes < 1 {
 		o.OSSes = 1
 	}
-	if o.Shards < 2 {
-		o.Shards = cluster.DefaultGateShards
-	}
 	if o.Duration <= 0 {
 		o.Duration = 2 * time.Second
 	}
@@ -131,53 +122,51 @@ func (o GateContentionStudyOptions) normalize() GateContentionStudyOptions {
 }
 
 // A GateContentionStudy is a finished gate-contention sweep: the
-// schema-v8 document (GateContention section filled) and the
+// schema-v9 document (GateContention section filled) and the
 // renderable/CSV-exportable report.
 type GateContentionStudy struct {
 	Document *Document
 	Report   *experiments.Report
 }
 
-// gateVariant is one gate implementation under study: the scheduling
-// policy that exercises it and the lock-stripe count standing it up.
+// gateVariant is one gate under study and the scheduling policy that
+// exercises it.
 type gateVariant struct {
 	name   string
 	policy sim.Policy
-	shards int
 }
 
-// RunGateContentionStudy sweeps runner concurrency against four gate
-// implementations on the live in-process backend and reports, per
+// RunGateContentionStudy sweeps runner concurrency against the three
+// gate schedulers on the live in-process backend and reports, per
 // (gate, concurrency) point, seed-axis p99 latency, served throughput,
 // and the p99 of gate_lock_wait_ns — the time runners spend waiting to
-// acquire gate locks, observed identically for every gate at the
-// requestGate seam. The TBF pair pins the claim under test: striping
-// the same token buckets over flow-hashed locks (or replacing shared
-// bucket state with EDT departure stamps) should cut lock wait at high
-// concurrency, and this study measures by how much. Live cells are
+// acquire the gate lock, observed identically for every gate at the
+// same seam. Each arm measures a gate under its own policy: the arms
+// differ in scheduler and in the traffic their policy admits, so a gap
+// between them is not a property of the lock alone. Live cells are
 // wall-clock: the numbers are measured, never deterministic.
 func RunGateContentionStudy(opt GateContentionStudyOptions) (*GateContentionStudy, error) {
 	opt = opt.normalize()
 
-	// StaticBW for the TBF pair so rule-matched bucket state is on the
-	// hot path of every request (NoBW would bypass the buckets).
+	// StaticBW for tbf so rule-matched bucket state is on the hot path
+	// of every request (NoBW would bypass the buckets).
 	variants := []gateVariant{
-		{"tbf", sim.StaticBW, 0},
-		{"sharded-tbf", sim.StaticBW, opt.Shards},
-		{"edt", sim.EDT, 0},
-		{"sfq", sim.SFQ, 0},
+		{"tbf", sim.StaticBW},
+		{"edt", sim.EDT},
+		{"sfq", sim.SFQ},
 	}
 
 	gc := &GateContention{
 		Name: GateContentionStudyName,
 		Description: "Gate-contention sweep on the live backend: runner concurrency (the " +
-			"gate-contention scenario's Scale — total concurrent client processes) against four " +
-			"request-gate implementations. lock_wait_p99_ns_* folds each cell's gate_lock_wait_ns " +
-			"histogram p99 over the seed axis; every gate observes that histogram at the same " +
-			"requestGate seam, one sample per lock acquisition, so gates are comparable. The tbf " +
-			"vs sharded-tbf pair isolates lock striping (same buckets, same StaticBW rules); edt " +
-			"replaces shared bucket state with per-flow departure stamps; sfq is the fair-queueing " +
-			"reference. Live cells are wall-clock and excluded from determinism claims.",
+			"gate-contention scenario's Scale — total concurrent client processes) against three " +
+			"request gates, each one scheduler behind the OSS's gate lock. lock_wait_p99_ns_* folds " +
+			"each cell's gate_lock_wait_ns histogram p99 over the seed axis; every gate observes " +
+			"that histogram at the same seam, one sample per lock acquisition. Each arm measures a " +
+			"gate under its own policy (tbf under StaticBW rules, edt under per-flow departure " +
+			"stamps, sfq under start-tag fair queueing), so arms differ in scheduler and in the " +
+			"traffic their policy lets through, not in locking alone. Live cells are wall-clock " +
+			"and excluded from determinism claims.",
 		Scenario:      "gate-contention",
 		Concurrencies: opt.Concurrencies,
 		Seeds:         opt.Seeds,
@@ -187,7 +176,7 @@ func RunGateContentionStudy(opt GateContentionStudyOptions) (*GateContentionStud
 
 	table := experiments.Table{
 		Name: "gate-contention",
-		Header: []string{"gate", "policy", "shards", "conc", "n",
+		Header: []string{"gate", "policy", "conc", "n",
 			"p99 (µs)", "±CI", "MiB/s", "±CI", "lock p99 (ns)", "±CI", "acquisitions"},
 	}
 
@@ -199,7 +188,7 @@ func RunGateContentionStudy(opt GateContentionStudyOptions) (*GateContentionStud
 		gc.Gates = append(gc.Gates, g)
 		for _, p := range g.Points {
 			table.Rows = append(table.Rows, []string{
-				g.Gate, g.Policy, fmt.Sprintf("%d", g.Shards),
+				g.Gate, g.Policy,
 				fmt.Sprintf("%d", p.Concurrency), fmt.Sprintf("%d", p.N),
 				fmt.Sprintf("%.1f", p.P99USMean), fmt.Sprintf("%.1f", p.P99USCI),
 				fmt.Sprintf("%.1f", p.MiBpsMean), fmt.Sprintf("%.1f", p.MiBpsCI),
@@ -229,7 +218,7 @@ func RunGateContentionStudy(opt GateContentionStudyOptions) (*GateContentionStud
 // runGateSweep runs one gate variant's full concurrency × seed grid on
 // the live backend and folds each concurrency point over the seed axis.
 func runGateSweep(v gateVariant, opt GateContentionStudyOptions) (GateContentionGate, error) {
-	g := GateContentionGate{Gate: v.name, Policy: v.policy.String(), Shards: v.shards}
+	g := GateContentionGate{Gate: v.name, Policy: v.policy.String()}
 	m := harness.Matrix{
 		Scenarios: []harness.Scenario{harness.GateContentionScenario()},
 		Policies:  []sim.Policy{v.policy},
@@ -241,7 +230,7 @@ func runGateSweep(v gateVariant, opt GateContentionStudyOptions) (GateContention
 	res, err := harness.Run(context.Background(), m,
 		harness.WithWorkers(opt.Workers), harness.WithProgress(opt.OnCell),
 		harness.WithObs(), harness.WithCellTimeout(opt.CellTimeout),
-		harness.WithBackend(&harness.ClusterBackend{Speedup: opt.Speedup, TBFShards: v.shards}))
+		harness.WithBackend(&harness.ClusterBackend{Speedup: opt.Speedup}))
 	if res == nil {
 		return g, fmt.Errorf("gate-contention: gate %s: %w", v.name, err)
 	}

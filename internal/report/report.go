@@ -80,12 +80,16 @@ import (
 // documents hold full wait-time distributions, not just totals.
 // Gate-contention-study documents (kind "gate-contention") carry the
 // per-gate concurrency sweep under gate_contention: for each gate
-// implementation (single-lock TBF, sharded TBF, EDT, SFQ) and each
-// runner-concurrency point, seed-axis p99 latency, served throughput,
-// and the gate_lock_wait_ns p99 measured at the shared requestGate
-// seam. Plain matrix documents are unchanged apart from the version
-// stamp and the histogram buckets.
-const SchemaVersion = 8
+// implementation and each runner-concurrency point, seed-axis p99
+// latency, served throughput, and the gate_lock_wait_ns p99 measured
+// at the shared gate-lock seam. Plain matrix documents are unchanged
+// apart from the version stamp and the histogram buckets.
+//
+// v9 (one gate per policy): each gate_contention.gates[] entry loses
+// its lock-stripe count field, with the lock-striped gates it counted;
+// the study's arms are tbf (StaticBW), edt and sfq. Nothing else
+// changed.
+const SchemaVersion = 9
 
 // A Document is the machine-readable form of a merged matrix run.
 type Document struct {

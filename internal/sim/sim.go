@@ -61,11 +61,10 @@ import (
 // A Policy selects the bandwidth-control mechanism under test.
 type Policy int
 
-// The paper's three evaluation mechanisms, plus the related-work
-// fair-queueing baseline, the GIFT centralized allocator, and EDT
-// (Earliest Departure Time) pacing — the per-request departure-stamp
-// model production traffic shaping adopted when single-lock token
-// buckets became the scaling wall.
+// The six policies: the paper's three evaluation mechanisms (NoBW,
+// StaticBW, AdapTBF), then three comparison points — the related-work
+// SFQ(D) fair-queueing baseline, the GIFT centralized coupon allocator,
+// and EDT (Earliest Departure Time) per-flow pacing.
 const (
 	NoBW Policy = iota
 	StaticBW
@@ -1429,11 +1428,4 @@ func (o *ostState) complete(tok *rpcToken) {
 	s.loop.AfterCall(s.cfg.NetDelay, s.replyFn, tok.proc, 0)
 	s.putToken(tok)
 	o.kick()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
